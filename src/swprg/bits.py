@@ -33,12 +33,3 @@ def bits_to_int(bits: Iterable[int]) -> int:
 def parity(x: int) -> int:
     return bin(x).count("1") & 1
 
-
-def concat_ints(parts: Iterable[tuple[int, int]]) -> int:
-    """Concatenate packed (value, length) fragments, first fragment lowest."""
-    value = 0
-    shift = 0
-    for v, n in parts:
-        value |= v << shift
-        shift += n
-    return value

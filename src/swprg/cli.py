@@ -17,12 +17,11 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 from . import bp, generators, hsg, lab, paca
-from .errors import CapExceeded, SwprgError
+from .errors import DEFAULT_CAP_BITS, CapExceeded, SwprgError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -76,24 +75,10 @@ def cmd_gen(config: dict, out_dir: Path, args) -> int:
 def cmd_verify_fool(config: dict, out_dir: Path, args) -> int:
     g = generators.generator_from_json(config["generator"])
     programs, family_name = _load_programs(config)
-    eps = Fraction(config.get("eps_budget", str(g.eps_budget)))
-
-    def one(p):
-        return lab.fooling_error(g, p, args.cap_seeds)
-
-    start = time.monotonic()
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        errors = list(pool.map(one, programs))
-    report = lab.FoolingReport("generator", family_name, eps)
-    for i, err in enumerate(errors):
-        report.rows.append((i, str(err)))
-        if err > report.worst_error or report.worst_program is None:
-            report.worst_error = err
-            report.worst_program = bp.program_to_json(programs[i])
-    report.programs_checked = len(programs)
-    report.seeds_enumerated = 1 << g.d
-    report.passed = report.worst_error <= eps
-    report.wall_seconds = time.monotonic() - start
+    eps = Fraction(config.get("eps_budget", g.eps_budget))
+    report = lab.run_fooling_report(
+        g, programs, eps, "generator", family_name, args.cap_seeds, args.jobs
+    )
     _write(out_dir, "fooling.json", report.to_json(), config)
     (out_dir / "fooling.csv").write_text(report.to_csv())
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -197,8 +182,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--cap-seeds", type=int, default=24, dest="cap_seeds")
-    parser.add_argument("--cap-inputs", type=int, default=24, dest="cap_inputs")
+    parser.add_argument("--cap-seeds", type=int, default=DEFAULT_CAP_BITS, dest="cap_seeds")
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:

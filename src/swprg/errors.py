@@ -27,3 +27,8 @@ class CapExceeded(SwprgError):
     def __init__(self, message: str, required_bits: int):
         super().__init__(message)
         self.required_bits = required_bits
+
+
+# Every enumeration of more than 2**DEFAULT_CAP_BITS seeds, inputs or family
+# members is refused with CapExceeded unless the caller passes a larger cap.
+DEFAULT_CAP_BITS = 24

@@ -5,7 +5,8 @@ A generator has seed length ``d`` and outputs ``blocks`` blocks of
 ``block_bits`` bits; the flat output concatenates the blocks (block 0
 lowest).  ``eps_budget`` is the exact rational error the construction
 promises against the program class it was built for; budgets compose per
-combinator and are recomputable from the construction tree.
+combinator and are recomputable from the construction tree.  Rectangle
+generators are ordinary nodes whose budget is their rectangle error.
 """
 
 from __future__ import annotations
@@ -19,21 +20,17 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .bits import BitString, bits_to_int, int_to_bits
-from .errors import CapExceeded, ParameterError, ShapeError
-from .primitives import (
-    Extractor,
-    HashFamily,
-    extractor_from_json,
-    perfect_extractor,
-    _frac_parse,
-    _frac_str,
-)
-
-DEFAULT_SEED_CAP = 24
+from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
+from .primitives import Extractor, HashFamily, extractor_from_json, perfect_extractor
 
 
 class GeneratorSpec:
-    """Base class; concrete nodes are frozen dataclasses below."""
+    """Base class; concrete nodes are frozen dataclasses below.
+
+    A node defines its shape (``d``, ``blocks``, ``block_bits``),
+    ``eps_budget``, ``to_json`` and one expansion method,
+    :meth:`expand_seeds`; every other expansion is derived from it.
+    """
 
     d: int
     blocks: int
@@ -47,8 +44,20 @@ class GeneratorSpec:
     def eps_budget(self) -> Fraction:
         raise NotImplementedError
 
-    def expand_int(self, seed: int) -> int:
+    def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        """Flat outputs, packed into uint64, of a uint64 array of seeds."""
         raise NotImplementedError
+
+    def _check_packs(self) -> None:
+        if self.flat_bits > 63:
+            raise CapExceeded(
+                f"flat output of {self.flat_bits} bits does not pack into uint64",
+                self.flat_bits,
+            )
+
+    def expand_int(self, seed: int) -> int:
+        self._check_packs()
+        return int(self.expand_seeds(np.array([seed], dtype=np.uint64))[0])
 
     def expand(self, seed: BitString) -> BitString:
         if len(seed) != self.d:
@@ -60,21 +69,17 @@ class GeneratorSpec:
         t = self.block_bits
         return tuple(flat[i * t : (i + 1) * t] for i in range(self.blocks))
 
-    def expand_all(self, cap: int = DEFAULT_SEED_CAP) -> np.ndarray:
+    def expand_all(self, cap: int = DEFAULT_CAP_BITS) -> np.ndarray:
         """Outputs for every seed, as packed uint64, seed order.
 
-        Cached per spec; treat the result as read-only.
+        Cached per spec and read-only.
         """
         if self.d > cap:
             raise CapExceeded(
                 f"seed enumeration needs 2**{self.d} expansions (cap {cap} bits)",
                 self.d,
             )
-        if self.flat_bits > 63:
-            raise CapExceeded(
-                f"flat output of {self.flat_bits} bits does not pack into uint64",
-                self.flat_bits,
-            )
+        self._check_packs()
         return _expand_all_cached(self)
 
     def to_json(self) -> dict:
@@ -83,50 +88,63 @@ class GeneratorSpec:
 
 @lru_cache(maxsize=128)
 def _expand_all_cached(spec: "GeneratorSpec") -> np.ndarray:
-    return spec._expand_all_impl()
+    out = spec.expand_seeds(np.arange(1 << spec.d, dtype=np.uint64))
+    out.setflags(write=False)
+    return out
 
 
-def expand(g: GeneratorSpec, seed: BitString) -> BitString:
-    return g.expand(seed)
+def _expand_part(child: GeneratorSpec, part: np.ndarray) -> np.ndarray:
+    """Outputs of ``child`` on its part of a parent's seeds.
+
+    The child's cached table is gathered from when it is no larger than the
+    seed array (so every seed is expanded once per child however many
+    parent seeds share it); a few seeds are expanded directly.
+    """
+    if len(part) >= 1 << child.d:
+        return child.expand_all(cap=child.d)[part]
+    return child.expand_seeds(part)
 
 
-# --- base generators -----------------------------------------------------------
+# --- base and rectangle generators ---------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ExhaustiveBase(GeneratorSpec):
-    """Identity generator: d = t, output = seed.  Zero error."""
+class Exhaustive(GeneratorSpec):
+    """Identity generator: the seed is the output, cut into ``blocks``
+    blocks of ``block_bits`` bits.  Zero error, both as a one-block base
+    generator and as a rectangle generator."""
 
-    t: int
+    blocks: int
+    block_bits: int
 
     @property
     def d(self) -> int:
-        return self.t
-
-    blocks = 1
-
-    @property
-    def block_bits(self) -> int:
-        return self.t
+        return self.blocks * self.block_bits
 
     @property
     def eps_budget(self) -> Fraction:
         return Fraction(0)
 
-    def expand_int(self, seed: int) -> int:
-        return seed
-
-    def _expand_all_impl(self) -> np.ndarray:
-        return np.arange(1 << self.t, dtype=np.uint64)
+    def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        return seeds
 
     def to_json(self) -> dict:
-        return {"kind": "exhaustive", "t": self.t}
+        if self.blocks == 1:
+            return {"kind": "exhaustive", "t": self.block_bits}
+        return {
+            "kind": "exhaustive_rect",
+            "blocks": self.blocks,
+            "block_bits": self.block_bits,
+        }
 
 
-def base_exhaustive(t: int) -> ExhaustiveBase:
+ExhaustiveRectangle = Exhaustive
+
+
+def base_exhaustive(t: int) -> Exhaustive:
     if t < 1:
         raise ParameterError("output length must be positive")
-    return ExhaustiveBase(t)
+    return Exhaustive(1, t)
 
 
 @dataclass(frozen=True)
@@ -181,41 +199,31 @@ class NisanBase(GeneratorSpec):
     def eps_budget(self) -> Fraction:
         return self.measured_eps if self.measured_eps is not None else self.eps_target
 
-    def expand_int(self, seed: int) -> int:
-        word = self.word
-        hbits = self.hash_family.seed_bits
-        s0 = seed & ((1 << word) - 1)
-        hseeds = [
-            (seed >> (word + k * hbits)) & ((1 << hbits) - 1) for k in range(self.levels)
-        ]
-        fam = self.hash_family
+    def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        word, fam = self.word, self.hash_family
+        hbits = fam.seed_bits
 
-        def rec(k: int, s: int) -> int:
-            if k == 0:
-                return s
-            lower = rec(k - 1, s)
-            upper = rec(k - 1, fam.eval(hseeds[k - 1], s))
-            return lower | (upper << (word << (k - 1)))
+        def one(seed: int) -> int:
+            # unrolled from the top level down: level k puts h_k(v) right
+            # after each word v of the level above
+            words = [seed & ((1 << word) - 1)]
+            for k in range(self.levels, 0, -1):
+                h = (seed >> (word + (k - 1) * hbits)) & ((1 << hbits) - 1)
+                words = [y for v in words for y in (v, fam.eval(h, v))]
+            return sum(v << (i * word) for i, v in enumerate(words))
 
-        return rec(self.levels, s0)
-
-    def _expand_all_impl(self) -> np.ndarray:
-        return np.fromiter(
-            (self.expand_int(s) for s in range(1 << self.d)),
-            dtype=np.uint64,
-            count=1 << self.d,
-        )
+        return np.fromiter(map(one, map(int, seeds)), dtype=np.uint64, count=len(seeds))
 
     def to_json(self) -> dict:
         data = {
             "kind": "nisan",
             "t": self.t,
             "w": self.w,
-            "eps_target": _frac_str(self.eps_target),
+            "eps_target": str(self.eps_target),
             "levels": self.levels,
         }
         if self.measured_eps is not None:
-            data["measured_eps"] = _frac_str(self.measured_eps)
+            data["measured_eps"] = str(self.measured_eps)
         return data
 
 
@@ -231,42 +239,12 @@ def with_measured_error(g: NisanBase, eps: Fraction) -> NisanBase:
     return replace(g, measured_eps=Fraction(eps))
 
 
-# --- rectangle generators --------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class ExhaustiveRectangle:
-    """Seed = all block seeds concatenated; zero rectangle error."""
-
-    blocks: int
-    block_bits: int
-
-    @property
-    def d(self) -> int:
-        return self.blocks * self.block_bits
-
-    eps_cr = Fraction(0)
-
-    def expand_int(self, seed: int) -> int:
-        return seed
-
-    def _expand_all_impl(self) -> np.ndarray:
-        return np.arange(1 << self.d, dtype=np.uint64)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "exhaustive_rect",
-            "blocks": self.blocks,
-            "block_bits": self.block_bits,
-        }
-
-
-@dataclass(frozen=True)
-class PairwiseRectangle:
+class PairwiseRectangle(GeneratorSpec):
     """Block i = h(i) for a pairwise-independent hash given by the seed.
 
-    ``eps_cr`` must come from measurement at desk scale; the default 1 is
-    the trivial bound, never an assumption of quality.
+    ``eps_cr``, the budget, must come from measurement at desk scale; the
+    default 1 is the trivial bound, never an assumption of quality.
     """
 
     blocks: int
@@ -282,18 +260,19 @@ class PairwiseRectangle:
     def d(self) -> int:
         return self.hash_family.seed_bits
 
-    def expand_int(self, seed: int) -> int:
-        fam = self.hash_family
-        out = 0
-        for i in range(self.blocks):
-            out |= fam.eval(seed, i) << (i * self.block_bits)
-        return out
+    @property
+    def eps_budget(self) -> Fraction:
+        return self.eps_cr
 
-    def _expand_all_impl(self) -> np.ndarray:
+    def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        fam, b = self.hash_family, self.block_bits
         return np.fromiter(
-            (self.expand_int(s) for s in range(1 << self.d)),
+            (
+                sum(fam.eval(s, i) << (i * b) for i in range(self.blocks))
+                for s in map(int, seeds)
+            ),
             dtype=np.uint64,
-            count=1 << self.d,
+            count=len(seeds),
         )
 
     def to_json(self) -> dict:
@@ -301,21 +280,8 @@ class PairwiseRectangle:
             "kind": "pairwise_rect",
             "blocks": self.blocks,
             "block_bits": self.block_bits,
-            "eps_cr": _frac_str(self.eps_cr),
+            "eps_cr": str(self.eps_cr),
         }
-
-
-RectangleGenerator = object  # duck-typed: ExhaustiveRectangle | PairwiseRectangle
-
-
-def rect_from_json(data: dict):
-    if data["kind"] == "exhaustive_rect":
-        return ExhaustiveRectangle(data["blocks"], data["block_bits"])
-    if data["kind"] == "pairwise_rect":
-        return PairwiseRectangle(
-            data["blocks"], data["block_bits"], _frac_parse(data["eps_cr"])
-        )
-    raise ParameterError(f"unknown rectangle kind {data['kind']!r}")
 
 
 # --- combinators ------------------------------------------------------------------
@@ -355,30 +321,16 @@ class InwStretch(GeneratorSpec):
     def eps_budget(self) -> Fraction:
         return 3 * max(self.inner.eps_budget, self.ext.eps)
 
-    def expand_int(self, seed: int) -> int:
-        s_g = seed & ((1 << self.inner.d) - 1)
-        s_e = seed >> self.inner.d
-        low = self.inner.expand_int(s_g)
-        high = self.inner.expand_int(self.ext.apply(s_g, s_e))
-        return low | (high << self.inner.flat_bits)
-
-    def _expand_all_impl(self) -> np.ndarray:
-        inner_all = self.inner.expand_all(cap=self.inner.d)
-        idx = np.arange(1 << self.d, dtype=np.uint64)
-        s_g = idx & np.uint64((1 << self.inner.d) - 1)
-        s_e = idx >> np.uint64(self.inner.d)
+    def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        s_g = seeds & np.uint64((1 << self.inner.d) - 1)
+        s_e = seeds >> np.uint64(self.inner.d)
         if self.ext.kind == "perfect":
             s2 = s_e
-        elif self.ext.kind == "cayley":
-            gens = np.asarray(self.ext.generators, dtype=np.uint64)
-            s2 = s_g ^ gens[s_e]
-        else:  # pragma: no cover
-            s2 = np.fromiter(
-                (self.ext.apply(int(a), int(b)) for a, b in zip(s_g, s_e)),
-                dtype=np.uint64,
-                count=len(idx),
-            )
-        return inner_all[s_g] | (inner_all[s2] << np.uint64(self.inner.flat_bits))
+        else:  # cayley: Ext(x, s) = x XOR g_s
+            s2 = s_g ^ np.asarray(self.ext.generators, dtype=np.uint64)[s_e]
+        return _expand_part(self.inner, s_g) | (
+            _expand_part(self.inner, s2) << np.uint64(self.inner.flat_bits)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -396,12 +348,13 @@ def inw_stretch(g: GeneratorSpec, ext: Extractor) -> InwStretch:
 class RectCompose(GeneratorSpec):
     """Feed rectangle-generated seeds into independent copies of a base.
 
-    Budget r * eps_base + eps_cr: the telescoping product bound plus the
+    The rectangle is any generator whose blocks are base seeds.  Budget
+    r * eps_base + eps_cr: the telescoping product bound plus the
     rectangle generator's own error.
     """
 
     base: GeneratorSpec
-    rect: object
+    rect: GeneratorSpec
 
     def __post_init__(self):
         if self.base.blocks != 1:
@@ -426,26 +379,17 @@ class RectCompose(GeneratorSpec):
 
     @property
     def eps_budget(self) -> Fraction:
-        return self.blocks * self.base.eps_budget + self.rect.eps_cr
+        return self.blocks * self.base.eps_budget + self.rect.eps_budget
 
-    def expand_int(self, seed: int) -> int:
-        rv = self.rect.expand_int(seed)
-        m = self.rect.block_bits
-        t = self.base.block_bits
-        out = 0
+    def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        self.rect._check_packs()
+        rect_out = self.rect.expand_seeds(seeds)
+        m, t = self.rect.block_bits, self.base.block_bits
+        mask = np.uint64((1 << m) - 1)
+        out = np.zeros(len(seeds), dtype=np.uint64)
         for i in range(self.blocks):
-            out |= self.base.expand_int((rv >> (i * m)) & ((1 << m) - 1)) << (i * t)
-        return out
-
-    def _expand_all_impl(self) -> np.ndarray:
-        rect_all = self.rect._expand_all_impl()
-        base_all = self.base.expand_all(cap=self.base.d)
-        m = np.uint64(self.rect.block_bits)
-        mask = np.uint64((1 << self.rect.block_bits) - 1)
-        t = self.base.block_bits
-        out = np.zeros(len(rect_all), dtype=np.uint64)
-        for i in range(self.blocks):
-            out |= base_all[(rect_all >> (np.uint64(i) * m)) & mask] << np.uint64(i * t)
+            block_seeds = (rect_out >> np.uint64(i * m)) & mask
+            out |= _expand_part(self.base, block_seeds) << np.uint64(i * t)
         return out
 
     def to_json(self) -> dict:
@@ -456,7 +400,7 @@ class RectCompose(GeneratorSpec):
         }
 
 
-def rect_compose(base: GeneratorSpec, rect) -> RectCompose:
+def rect_compose(base: GeneratorSpec, rect: GeneratorSpec) -> RectCompose:
     return RectCompose(base, rect)
 
 
@@ -491,26 +435,12 @@ class Interleave(GeneratorSpec):
     def eps_budget(self) -> Fraction:
         return 2 * max(self.g1.eps_budget, self.g2.eps_budget)
 
-    def expand_int(self, seed: int) -> int:
-        o1 = self.g1.expand_int(seed & ((1 << self.g1.d) - 1))
-        o2 = self.g2.expand_int(seed >> self.g1.d)
-        t = self.block_bits
-        mask = (1 << t) - 1
-        out = 0
-        for i in range(self.g1.blocks):
-            out |= ((o1 >> (i * t)) & mask) << (2 * i * t)
-            out |= ((o2 >> (i * t)) & mask) << ((2 * i + 1) * t)
-        return out
-
-    def _expand_all_impl(self) -> np.ndarray:
-        a1 = self.g1.expand_all(cap=self.g1.d)
-        a2 = self.g2.expand_all(cap=self.g2.d)
-        idx = np.arange(1 << self.d, dtype=np.uint64)
-        o1 = a1[idx & np.uint64((1 << self.g1.d) - 1)]
-        o2 = a2[idx >> np.uint64(self.g1.d)]
+    def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        o1 = _expand_part(self.g1, seeds & np.uint64((1 << self.g1.d) - 1))
+        o2 = _expand_part(self.g2, seeds >> np.uint64(self.g1.d))
         t = self.block_bits
         mask = np.uint64((1 << t) - 1)
-        out = np.zeros(len(idx), dtype=np.uint64)
+        out = np.zeros(len(seeds), dtype=np.uint64)
         for i in range(self.g1.blocks):
             out |= ((o1 >> np.uint64(i * t)) & mask) << np.uint64(2 * i * t)
             out |= ((o2 >> np.uint64(i * t)) & mask) << np.uint64((2 * i + 1) * t)
@@ -537,7 +467,7 @@ def build_swbp_prg(
     w: int,
     base: GeneratorSpec,
     strategy: str,
-    rect=None,
+    rect: Optional[GeneratorSpec] = None,
     ext_factory: ExtractorFactory = _perfect_factory,
 ) -> Interleave:
     """Full pipeline: stretch the base to n/2 bits twice, then interleave.
@@ -562,7 +492,7 @@ def build_swbp_prg(
         return interleave(g, g)
     if strategy == "rect":
         if rect is None:
-            rect = ExhaustiveRectangle(m_half, base.d)
+            rect = Exhaustive(m_half, base.d)
         if rect.blocks != m_half or rect.block_bits != base.d:
             raise ShapeError(
                 f"rectangle must emit {m_half} blocks of {base.d} bits"
@@ -578,20 +508,28 @@ def build_swbp_prg(
 def generator_from_json(data: dict) -> GeneratorSpec:
     kind = data["kind"]
     if kind == "exhaustive":
-        return ExhaustiveBase(data["t"])
+        return Exhaustive(1, data["t"])
+    if kind == "exhaustive_rect":
+        return Exhaustive(data["blocks"], data["block_bits"])
+    if kind == "pairwise_rect":
+        return PairwiseRectangle(
+            data["blocks"], data["block_bits"], Fraction(data["eps_cr"])
+        )
     if kind == "nisan":
-        g = NisanBase(
-            data["t"], data["w"], _frac_parse(data["eps_target"]), data["levels"]
+        g = base_nisan(
+            data["t"], data["w"], Fraction(data["eps_target"]), data.get("levels")
         )
         if "measured_eps" in data:
-            g = with_measured_error(g, _frac_parse(data["measured_eps"]))
+            g = with_measured_error(g, Fraction(data["measured_eps"]))
         return g
     if kind == "inw":
         return InwStretch(
             generator_from_json(data["inner"]), extractor_from_json(data["extractor"])
         )
     if kind == "rect_compose":
-        return RectCompose(generator_from_json(data["base"]), rect_from_json(data["rect"]))
+        return RectCompose(
+            generator_from_json(data["base"]), generator_from_json(data["rect"])
+        )
     if kind == "interleave":
         return Interleave(generator_from_json(data["g1"]), generator_from_json(data["g2"]))
     raise ParameterError(f"unknown generator kind {kind!r}")

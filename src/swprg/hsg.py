@@ -1,38 +1,38 @@
 """Hitting-set analogues of the generator combinators.
 
-An HSG carries the same expansion machinery as a PRG (every node here wraps
-a :class:`~swprg.generators.GeneratorSpec` for output purposes) but its
-budget is a hitting threshold: any program of the intended class whose
-acceptance probability reaches the budget must accept at least one output.
-Budgets differ from the fooling case -- composition pays
-2 * max(r * eps_base, eps_cr) rather than a sum.
+An HSG is a generator node under the hitting contract: it expands through
+its ``carrier`` generator, and its budget is a hitting threshold -- any
+program of the intended class whose acceptance probability reaches the
+threshold must accept at least one output.  Budgets differ from the
+fooling case -- composition pays 2 * max(r * eps_base, eps_cr) rather than
+a sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from .bits import BitString
 from .errors import ParameterError, ShapeError
 from .generators import (
-    ExhaustiveRectangle,
+    Exhaustive,
     GeneratorSpec,
     Interleave,
     RectCompose,
+    base_exhaustive,
     generator_from_json,
-    rect_from_json,
 )
 
 
 @dataclass(frozen=True)
-class HsgSpec:
+class HsgSpec(GeneratorSpec):
     """A generator reinterpreted under the hitting contract.
 
     ``eps_budget`` is the acceptance-probability threshold above which a
-    witness output is guaranteed.  ``carrier`` does the actual expansion.
+    witness output is guaranteed; ``kind`` names the rule that set it.
     """
 
     carrier: GeneratorSpec
@@ -52,27 +52,17 @@ class HsgSpec:
         return self.carrier.block_bits
 
     @property
-    def flat_bits(self) -> int:
-        return self.carrier.flat_bits
-
-    @property
     def eps_budget(self) -> Fraction:
         return self.threshold
 
-    def expand_int(self, seed: int) -> int:
-        return self.carrier.expand_int(seed)
-
-    def expand(self, seed: BitString) -> BitString:
-        return self.carrier.expand(seed)
-
-    def expand_all(self, cap: int = 24) -> np.ndarray:
-        return self.carrier.expand_all(cap)
+    def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        return self.carrier.expand_seeds(seeds)
 
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "carrier": self.carrier.to_json(),
-            "threshold": f"{self.threshold.numerator}/{self.threshold.denominator}",
+            "threshold": str(self.threshold),
         }
 
 
@@ -85,12 +75,10 @@ def from_prg(g: GeneratorSpec) -> HsgSpec:
 
 
 def hsg_exhaustive(t: int) -> HsgSpec:
-    from .generators import base_exhaustive
-
     return from_prg(base_exhaustive(t))
 
 
-def hsg_rect_compose(base: HsgSpec, rect) -> HsgSpec:
+def hsg_rect_compose(base: HsgSpec, rect: GeneratorSpec) -> HsgSpec:
     """Rectangle composition under the hitting contract.
 
     Threshold 2 * max(r * base_threshold, eps_cr): one factor of two for
@@ -98,7 +86,7 @@ def hsg_rect_compose(base: HsgSpec, rect) -> HsgSpec:
     max because only the dominant failure mode matters for hitting.
     """
     carrier = RectCompose(base.carrier, rect)
-    thr = 2 * max(carrier.blocks * base.threshold, rect.eps_cr)
+    thr = 2 * max(carrier.blocks * base.threshold, rect.eps_budget)
     return HsgSpec(carrier, thr, "hsg_rect")
 
 
@@ -108,7 +96,9 @@ def hsg_interleave(h1: HsgSpec, h2: HsgSpec) -> HsgSpec:
     return HsgSpec(carrier, 2 * max(h1.threshold, h2.threshold), "hsg_interleave")
 
 
-def build_swbp_hsg(n: int, t: int, w: int, base: HsgSpec, rect=None) -> HsgSpec:
+def build_swbp_hsg(
+    n: int, t: int, w: int, base: HsgSpec, rect: Optional[GeneratorSpec] = None
+) -> HsgSpec:
     """Hitting-set pipeline for width-w window-t length-n programs."""
     if base.blocks != 1 or base.block_bits != t:
         raise ShapeError("base must output a single block of t bits")
@@ -116,7 +106,7 @@ def build_swbp_hsg(n: int, t: int, w: int, base: HsgSpec, rect=None) -> HsgSpec:
         raise ParameterError(f"n={n} is not a multiple of 2t={2 * t}; pad the program")
     m_half = n // (2 * t)
     if rect is None:
-        rect = ExhaustiveRectangle(m_half, base.d)
+        rect = Exhaustive(m_half, base.d)
     if rect.blocks != m_half or rect.block_bits != base.d:
         raise ShapeError(f"rectangle must emit {m_half} blocks of {base.d} bits")
     half = hsg_rect_compose(base, rect)
@@ -126,8 +116,5 @@ def build_swbp_hsg(n: int, t: int, w: int, base: HsgSpec, rect=None) -> HsgSpec:
 def hsg_from_json(data: dict) -> HsgSpec:
     kind = data["kind"]
     if kind in ("prg_as_hsg", "hsg_rect", "hsg_interleave"):
-        num, den = data["threshold"].split("/")
-        return HsgSpec(
-            generator_from_json(data["carrier"]), Fraction(int(num), int(den)), kind
-        )
+        return HsgSpec(generator_from_json(data["carrier"]), Fraction(data["threshold"]), kind)
     raise ParameterError(f"unknown hsg kind {kind!r}")

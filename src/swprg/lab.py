@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -22,13 +23,11 @@ from .bp import (
     acceptance_probability,
     canonical_debruijn_swbp,
     all_accepting_labeler,
+    program_to_json,
     quotient_swbp,
     relabel,
 )
-from .errors import CapExceeded, ShapeError
-
-DEFAULT_SEED_CAP = 24
-DEFAULT_INPUT_CAP = 24
+from .errors import DEFAULT_CAP_BITS, CapExceeded, ShapeError
 
 
 def program_tables(p: LayeredProgram) -> Tuple[np.ndarray, np.ndarray]:
@@ -56,7 +55,7 @@ def batch_evaluate(p: LayeredProgram, inputs: np.ndarray) -> np.ndarray:
 
 
 def acceptance_probability_bruteforce(
-    p: LayeredProgram, cap_inputs: int = DEFAULT_INPUT_CAP
+    p: LayeredProgram, cap_inputs: int = DEFAULT_CAP_BITS
 ) -> Fraction:
     """Second oracle: enumerate every input instead of running the DP."""
     if p.n > cap_inputs:
@@ -70,7 +69,7 @@ def acceptance_probability_bruteforce(
 # --- fooling ---------------------------------------------------------------------
 
 
-def generator_acceptance(g, p: LayeredProgram, cap_seeds: int = DEFAULT_SEED_CAP) -> Fraction:
+def generator_acceptance(g, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Fraction:
     """Pr over seeds that ``p`` accepts the generator output.  Exact."""
     if g.flat_bits != p.n:
         raise ShapeError(f"generator emits {g.flat_bits} bits, program reads {p.n}")
@@ -78,13 +77,13 @@ def generator_acceptance(g, p: LayeredProgram, cap_seeds: int = DEFAULT_SEED_CAP
     return Fraction(int(batch_evaluate(p, outs).sum()), 1 << g.d)
 
 
-def fooling_error(g, p: LayeredProgram, cap_seeds: int = DEFAULT_SEED_CAP) -> Fraction:
+def fooling_error(g, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Fraction:
     """|Pr[p(G(U_d))=1] - Pr[p(U_n)=1]|, exact by full seed enumeration."""
     return abs(generator_acceptance(g, p, cap_seeds) - acceptance_probability(p))
 
 
 def simultaneous_fooling_error(
-    g, programs: Sequence[LayeredProgram], cap_seeds: int = DEFAULT_SEED_CAP
+    g, programs: Sequence[LayeredProgram], cap_seeds: int = DEFAULT_CAP_BITS
 ) -> Fraction:
     """|Pr[all p_i accept their block] - prod Pr[p_i(U_t)=1]|, exact.
 
@@ -111,7 +110,7 @@ def simultaneous_fooling_error(
 # --- hitting ---------------------------------------------------------------------
 
 
-def hitting_check(h, p: LayeredProgram, cap_seeds: int = DEFAULT_SEED_CAP) -> Optional[int]:
+def hitting_check(h, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Optional[int]:
     """First seed (in seed order) whose expansion ``p`` accepts, or None."""
     if h.flat_bits != p.n:
         raise ShapeError(f"generator emits {h.flat_bits} bits, program reads {p.n}")
@@ -121,7 +120,7 @@ def hitting_check(h, p: LayeredProgram, cap_seeds: int = DEFAULT_SEED_CAP) -> Op
 
 
 def simultaneous_hitting_check(
-    h, programs: Sequence[LayeredProgram], cap_seeds: int = DEFAULT_SEED_CAP
+    h, programs: Sequence[LayeredProgram], cap_seeds: int = DEFAULT_CAP_BITS
 ) -> Optional[int]:
     """First seed whose every block is accepted by its program, or None."""
     if len(programs) != h.blocks:
@@ -171,7 +170,7 @@ def enumerate_swbp_family(
     positions = _label_positions(n, t)
     total_bits = len(positions)
     if budget_bits is None:
-        if total_bits > DEFAULT_SEED_CAP:
+        if total_bits > DEFAULT_CAP_BITS:
             raise CapExceeded(
                 f"full family has 2**{total_bits} labelings; pass budget_bits",
                 total_bits,
@@ -255,19 +254,20 @@ def run_fooling_report(
     eps_budget: Fraction,
     generator_id: str = "generator",
     family: str = "family",
-    cap_seeds: int = DEFAULT_SEED_CAP,
+    cap_seeds: int = DEFAULT_CAP_BITS,
+    jobs: int = 1,
 ) -> FoolingReport:
-    from .bp import program_to_json
-
+    """Exact fooling error of every program, on ``jobs`` threads."""
     start = time.monotonic()
     report = FoolingReport(generator_id, family, eps_budget)
-    for i, p in enumerate(programs):
-        err = fooling_error(g, p, cap_seeds)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        errors = list(pool.map(lambda p: fooling_error(g, p, cap_seeds), programs))
+    for i, err in enumerate(errors):
         report.rows.append((i, str(err)))
-        report.programs_checked += 1
         if err > report.worst_error or report.worst_program is None:
             report.worst_error = err
-            report.worst_program = program_to_json(p)
+            report.worst_program = program_to_json(programs[i])
+    report.programs_checked = len(errors)
     report.seeds_enumerated = 1 << g.d
     report.passed = report.worst_error <= eps_budget
     report.wall_seconds = time.monotonic() - start
@@ -304,7 +304,7 @@ def run_hitting_report(
     programs: Sequence[LayeredProgram],
     generator_id: str = "hsg",
     family: str = "family",
-    cap_seeds: int = DEFAULT_SEED_CAP,
+    cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> HittingReport:
     """Check the hitting contract family-wide: every program whose exact
     acceptance probability reaches the threshold (and is nonzero) must have

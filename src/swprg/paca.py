@@ -22,7 +22,8 @@ from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequen
 import numpy as np
 
 from .bp import LayeredProgram
-from .errors import CapExceeded, ParameterError, ShapeError
+from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
+from .generators import Exhaustive
 
 Configuration = Tuple[int, ...]
 
@@ -267,13 +268,15 @@ PrgBuilder = Callable[[int, Fraction], object]
 
 def derandomize_one_sided(
     c: Paca, x: Sequence[int], eps: Fraction, hsg_builder: HsgBuilder,
-    cap_seeds: int = 24,
+    cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> bool:
     """Deterministic decision for a one-sided eps-error PACA.
 
     Accepts iff step 0 accepts directly or some (t, seed) makes S_{{t}}
     accept the HSG output, with hitting threshold eps/T.  eps is the floor
-    on the acceptance probability of inputs in the language.
+    on the acceptance probability of inputs in the language.  With the
+    exhaustive HSG some seed hits S_{{t}} iff step t is all-accepting with
+    positive probability, which the step-vector distribution gives exactly.
     """
     from .lab import hitting_check
 
@@ -284,7 +287,12 @@ def derandomize_one_sided(
     m = (n + T) * T
     threshold = Fraction(eps) / T
     h = hsg_builder(m, threshold)
-    for t in range(1, T):
+    if h.flat_bits != m:
+        raise ShapeError(f"generator emits {h.flat_bits} bits, stream needs {m}")
+    steps = tuple(range(1, T))
+    if isinstance(h.carrier, Exhaustive):
+        return any(_step_vector_distribution(c, x, steps))
+    for t in steps:
         s_t = sliding_sim(c, x, {t})
         if hitting_check(h, s_t, cap_seeds) is not None:
             return True
@@ -299,7 +307,7 @@ class TwoSidedResult(NamedTuple):
 
 def derandomize_two_sided(
     c: Paca, x: Sequence[int], eps: Fraction, prg_builder: PrgBuilder,
-    cap_seeds: int = 24,
+    cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> TwoSidedResult:
     """Inclusion-exclusion estimate of the acceptance probability.
 
@@ -310,8 +318,6 @@ def derandomize_two_sided(
     eta_t are computed by the acceptance-probability recurrence, which
     equals full seed enumeration term by term.
     """
-    from .generators import ExhaustiveBase
-
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     if c.config_accepting(x):
@@ -321,7 +327,7 @@ def derandomize_two_sided(
     if g.flat_bits != m:
         raise ShapeError(f"generator emits {g.flat_bits} bits, stream needs {m}")
     steps = tuple(range(1, T))
-    if isinstance(g, ExhaustiveBase):
+    if isinstance(g, Exhaustive):
         vec_probs = _step_vector_distribution(c, x, steps)
     else:
         outs = g.expand_all(cap_seeds)
@@ -357,7 +363,7 @@ def _step_vector_distribution(
     rows = list(product((0, 1), repeat=n))
     row_prob = Fraction(1, 1 << n)
     dist: Dict[Tuple[Configuration, int], Fraction] = {(x, 0): Fraction(1)}
-    for s in range(1, max(steps) + 1):
+    for s in range(1, max(steps, default=0) + 1):
         nxt: Dict[Tuple[Configuration, int], Fraction] = {}
         for (config, v), mass in dist.items():
             share = mass * row_prob
@@ -508,27 +514,25 @@ def sample_paca(rng: random.Random, q: int, time_bound: int) -> Paca:
 
 def check_time_bound(c: Paca, n: int) -> bool:
     """Does every accepting computation at length n first reach an
-    all-accepting configuration strictly before step T?  Tracked by
-    following, per step, the set of configurations reachable without an
-    earlier accepting visit, with cycle detection."""
-    T = c.time_bound
+    all-accepting configuration strictly before step T?  Follows for T steps
+    the configurations reachable without an accepting visit; the bound fails
+    iff an accepting configuration is reachable from the step-T frontier
+    through non-accepting configurations."""
     rows = list(product((0, 1), repeat=n))
+
+    def successors(configs) -> set:
+        return {step(c, cf, row) for cf in configs for row in rows}
+
     for x in product(c.sigma, repeat=n):
-        frontier = frozenset({x})
-        t = 0
+        frontier = {x}
+        for _ in range(c.time_bound):
+            frontier = successors(cf for cf in frontier if not c.config_accepting(cf))
         seen = set()
         while frontier:
-            accepting_now = {cf for cf in frontier if c.config_accepting(cf)}
-            if accepting_now and t >= T:
+            if any(c.config_accepting(cf) for cf in frontier):
                 return False
-            frontier = frozenset(cf for cf in frontier if cf not in accepting_now)
-            if frontier in seen and t >= T:
-                break
-            seen.add(frontier)
-            frontier = frozenset(step(c, cf, row) for cf in frontier for row in rows)
-            t += 1
-            if t > T + (1 << (2 * n)):  # safety horizon beyond any cycle
-                break
+            seen |= frontier
+            frontier = successors(frontier) - seen
     return True
 
 

@@ -52,10 +52,6 @@ class HashFamily:
         return y ^ c
 
 
-def hash_eval(family: HashFamily, member_seed: int, x: int) -> int:
-    return family.eval(member_seed, x)
-
-
 # --- small-bias sets ----------------------------------------------------------
 
 # irreducible polynomials over GF(2), degree 1..12 (top bit = degree)
@@ -183,10 +179,10 @@ class Extractor:
 
     def to_json(self) -> dict:
         data = {"kind": self.kind, "n": self.n, "d": self.d, "k": self.k,
-                "eps": _frac_str(self.eps)}
+                "eps": str(self.eps)}
         if self.kind == "cayley":
             data["generators"] = list(self.generators)
-            data["bias"] = _frac_str(self.bias)
+            data["bias"] = str(self.bias)
         return data
 
 
@@ -194,8 +190,8 @@ def extractor_from_json(data: dict) -> Extractor:
     if data["kind"] == "perfect":
         return perfect_extractor(data["n"])
     return Extractor(
-        "cayley", data["n"], data["d"], data["k"], _frac_parse(data["eps"]),
-        tuple(data["generators"]), _frac_parse(data["bias"]),
+        "cayley", data["n"], data["d"], data["k"], Fraction(data["eps"]),
+        tuple(data["generators"]), Fraction(data["bias"]),
     )
 
 
@@ -290,11 +286,3 @@ def extractor_output_distribution(ext: Extractor, source: Distribution) -> Distr
             out[y] = out.get(y, Fraction(0)) + px * seed_p
     return out
 
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _frac_parse(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))

@@ -1,11 +1,14 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swprg import bp, generators, hsg
 from swprg.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
-from swprg.paca import build_c1, paca_to_json
+from swprg.paca import Paca, build_c1, paca_to_json
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -120,6 +123,43 @@ def test_paca_sim_deterministic(tmp_path):
     assert payload1["accept"] == payload2["accept"]
     assert payload1["diagram"] == payload2["diagram"]
     assert payload1["config_hash"] == payload2["config_hash"]
+
+
+@pytest.mark.parametrize("name, x", [("c1", [0]), ("c2", [1, 0])])
+def test_paca_derand1_fixtures_accept(tmp_path, name, x):
+    config = {"paca": name, "mode": "derand1", "input": x, "eps": "1/8"}
+    code, out = run(tmp_path, "paca", config)
+    assert code == EXIT_PASS
+    assert json.loads((out / "paca.json").read_text())["accept"] is True
+
+
+def test_paca_derand1_rejects_probability_zero(tmp_path):
+    never = np.zeros((3, 2, 3), dtype=np.int16)  # every cell moves to state 0
+    c = Paca(2, (0,), frozenset({1}), never, never.copy(), 3)
+    paca_path = tmp_path / "never.json"
+    paca_path.write_text(json.dumps(paca_to_json(c)))
+    config = {"paca": str(paca_path), "mode": "derand1", "input": [0], "eps": "1/8"}
+    code, out = run(tmp_path, "paca", config)
+    assert code == EXIT_FAIL
+    assert json.loads((out / "paca.json").read_text())["accept"] is False
+
+
+def test_readme_config_examples_run(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    assert examples
+    for i, config in enumerate(examples):
+        if "paca" in config:
+            command = "paca"
+        elif "hsg" in config:
+            command = "verify-hit"
+        elif "family" in config:
+            command = "verify-fool"
+        else:
+            command = "gen"
+        code = main([command, "--config", write_config(tmp_path, config, f"ex{i}.json"),
+                      "--out", str(tmp_path / f"out{i}")])
+        assert code in (EXIT_PASS, EXIT_FAIL), (config, code)
 
 
 def test_bad_config_exit_code(tmp_path):

@@ -18,7 +18,133 @@ from swprg.generators import (
     rect_compose,
     with_measured_error,
 )
+from swprg.hsg import (
+    build_swbp_hsg,
+    from_prg,
+    hsg_exhaustive,
+    hsg_from_json,
+    hsg_rect_compose,
+)
 from swprg.primitives import cayley_extractor, perfect_extractor
+
+
+# --- pure-Python reference expander ------------------------------------------
+# Works from a node's JSON form alone, with its own parity and hashing, so it
+# shares no expansion code with the package.
+
+HSG_KINDS = ("prg_as_hsg", "hsg_rect", "hsg_interleave")
+
+
+def ref_parity(x):
+    p = 0
+    while x:
+        p ^= x & 1
+        x >>= 1
+    return p
+
+
+def ref_hash(a, b, member, x):
+    """Affine GF(2) map: b rows of a bits (row-major), then the offset."""
+    y = 0
+    for i in range(b):
+        y |= ref_parity((member >> (i * a)) & ((1 << a) - 1) & x) << i
+    return y ^ (member >> (a * b))
+
+
+def ref_shape(node):
+    """(seed bits, blocks, block bits) of a JSON node."""
+    kind = node["kind"]
+    if kind == "exhaustive":
+        return node["t"], 1, node["t"]
+    if kind == "exhaustive_rect":
+        return node["blocks"] * node["block_bits"], node["blocks"], node["block_bits"]
+    if kind == "pairwise_rect":
+        a, b = max(1, (node["blocks"] - 1).bit_length()), node["block_bits"]
+        return a * b + b, node["blocks"], b
+    if kind == "nisan":
+        word = node["t"] >> node["levels"]
+        return word + node["levels"] * (word * word + word), 1, node["t"]
+    if kind == "inw":
+        d, blocks, bits = ref_shape(node["inner"])
+        return d + node["extractor"]["d"], 2 * blocks, bits
+    if kind == "rect_compose":
+        d, blocks, _ = ref_shape(node["rect"])
+        return d, blocks, ref_shape(node["base"])[2]
+    if kind == "interleave":
+        d1, blocks, bits = ref_shape(node["g1"])
+        return d1 + ref_shape(node["g2"])[0], 2 * blocks, bits
+    assert kind in HSG_KINDS, kind
+    return ref_shape(node["carrier"])
+
+
+def ref_expand(node, seed):
+    """Flat output of a JSON node on one seed, as a Python int."""
+    kind = node["kind"]
+    if kind in ("exhaustive", "exhaustive_rect"):
+        return seed
+    if kind == "pairwise_rect":
+        a, b = max(1, (node["blocks"] - 1).bit_length()), node["block_bits"]
+        return sum(ref_hash(a, b, seed, i) << (i * b) for i in range(node["blocks"]))
+    if kind == "nisan":
+        word = node["t"] >> node["levels"]
+        hbits = word * word + word
+
+        def level(k, s):
+            if k == 0:
+                return s
+            h = (seed >> (word + (k - 1) * hbits)) & ((1 << hbits) - 1)
+            upper = level(k - 1, ref_hash(word, word, h, s))
+            return level(k - 1, s) | (upper << (word << (k - 1)))
+
+        return level(node["levels"], seed & ((1 << word) - 1))
+    if kind == "inw":
+        d, blocks, bits = ref_shape(node["inner"])
+        s_g, s_e = seed & ((1 << d) - 1), seed >> d
+        ext = node["extractor"]
+        s2 = s_e if ext["kind"] == "perfect" else s_g ^ ext["generators"][s_e]
+        return ref_expand(node["inner"], s_g) | (
+            ref_expand(node["inner"], s2) << (blocks * bits)
+        )
+    if kind == "rect_compose":
+        _, blocks, m = ref_shape(node["rect"])
+        t = ref_shape(node["base"])[2]
+        rv = ref_expand(node["rect"], seed)
+        return sum(
+            ref_expand(node["base"], (rv >> (i * m)) & ((1 << m) - 1)) << (i * t)
+            for i in range(blocks)
+        )
+    if kind == "interleave":
+        d1, blocks, t = ref_shape(node["g1"])
+        o1 = ref_expand(node["g1"], seed & ((1 << d1) - 1))
+        o2 = ref_expand(node["g2"], seed >> d1)
+        out = 0
+        for i in range(blocks):
+            out |= ((o1 >> (i * t)) & ((1 << t) - 1)) << (2 * i * t)
+            out |= ((o2 >> (i * t)) & ((1 << t) - 1)) << ((2 * i + 1) * t)
+        return out
+    assert kind in HSG_KINDS, kind
+    return ref_expand(node["carrier"], seed)
+
+
+def every_node_kind():
+    nisan = with_measured_error(base_nisan(4, 2, Fraction(1, 4)), Fraction(1, 8))
+    half = rect_compose(base_exhaustive(2), ExhaustiveRectangle(2, 2))
+    return [
+        base_exhaustive(3),
+        ExhaustiveRectangle(3, 2),
+        nisan,
+        base_nisan(4, 4, Fraction(1, 4)),
+        PairwiseRectangle(3, 2, Fraction(1, 4)),
+        inw_stretch(base_exhaustive(3), perfect_extractor(3)),
+        inw_stretch(nisan, cayley_extractor(nisan.d, 2, Fraction(1, 2))),
+        rect_compose(base_exhaustive(2), PairwiseRectangle(3, 2)),
+        rect_compose(nisan, ExhaustiveRectangle(2, nisan.d)),
+        interleave(base_exhaustive(3), base_exhaustive(3)),
+        interleave(half, half),
+        from_prg(nisan),
+        build_swbp_hsg(8, 2, 4, hsg_exhaustive(2)),
+        hsg_rect_compose(hsg_exhaustive(2), PairwiseRectangle(4, 2, Fraction(1, 8))),
+    ]
 
 
 def test_exhaustive_base_identity():
@@ -143,18 +269,28 @@ def test_interleave_budget_and_shape_check():
 
 
 def test_expand_all_matches_expand_int_everywhere():
-    specs = [
-        base_exhaustive(3),
-        base_nisan(4, 2, Fraction(1, 4)),
-        inw_stretch(base_exhaustive(3), perfect_extractor(3)),
-        rect_compose(base_exhaustive(2), PairwiseRectangle(3, 2)),
-        interleave(base_exhaustive(3), base_exhaustive(3)),
-    ]
-    for g in specs:
+    kinds = set()
+    for g in every_node_kind():
+        node = g.to_json()
+        kinds.add(node["kind"])
+        assert ref_shape(node) == (g.d, g.blocks, g.block_bits), node
         outs = g.expand_all()
         assert len(outs) == 1 << g.d
         for s in range(1 << g.d):
-            assert int(outs[s]) == g.expand_int(s), type(g).__name__
+            want = ref_expand(node, s)
+            assert int(outs[s]) == want, (node["kind"], s)
+            assert g.expand_int(s) == want, (node["kind"], s)
+    assert kinds == {
+        "exhaustive", "exhaustive_rect", "nisan", "pairwise_rect", "inw",
+        "rect_compose", "interleave", *HSG_KINDS,
+    }
+
+
+def test_expand_all_cache_is_read_only():
+    outs = interleave(base_exhaustive(3), base_exhaustive(3)).expand_all()
+    with pytest.raises(ValueError):
+        outs[0] = 1
+    assert int(outs[0]) == 0
 
 
 def test_expand_all_cap_refusal():
@@ -190,15 +326,19 @@ def test_build_swbp_prg_budget_closed_forms():
 
 def test_generator_json_roundtrip():
     base = with_measured_error(base_nisan(4, 2, Fraction(1, 4)), Fraction(1, 8))
-    specs = [
-        base,
+    specs = every_node_kind() + [
         inw_stretch(base, cayley_extractor(base.d, 2, Fraction(1, 2))),
         rect_compose(base, PairwiseRectangle(3, base.d, Fraction(1, 32))),
         interleave(base, base),
         build_swbp_prg(8, 2, 4, base_exhaustive(2), "rect"),
     ]
     for g in specs:
-        blob = json.dumps(g.to_json())
-        back = generator_from_json(json.loads(blob))
+        data = json.loads(json.dumps(g.to_json()))
+        back = hsg_from_json(data) if data["kind"] in HSG_KINDS else generator_from_json(data)
         assert back == g
         assert back.eps_budget == g.eps_budget
+
+
+def test_nisan_json_levels_default():
+    data = {"kind": "nisan", "t": 4, "w": 4, "eps_target": "1/4"}
+    assert generator_from_json(data) == base_nisan(4, 4, Fraction(1, 4))

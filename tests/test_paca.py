@@ -264,6 +264,20 @@ def test_time_bound_fixtures():
     assert not check_time_bound(tight, 1)
 
 
+def test_time_bound_sees_late_acceptance_after_a_cycle():
+    # one cell over A, B, C: A -> B; B -> A on coin 0, B -> C on coin 1;
+    # C accepting.  First acceptance can come at any even step.
+    A, B, C = range(3)
+    delta0 = np.zeros((4, 3, 4), dtype=np.int16)
+    delta1 = np.zeros((4, 3, 4), dtype=np.int16)
+    delta0[:, A, :] = delta1[:, A, :] = B
+    delta0[:, B, :], delta1[:, B, :] = A, C
+    delta0[:, C, :] = delta1[:, C, :] = C
+    for T in (3, 5):
+        c = Paca(3, (A,), frozenset({C}), delta0, delta1, T)
+        assert not check_time_bound(c, 1)
+
+
 def test_spacetime_diagram_runs():
     c = build_c1()
     x = (c.sigma[0],) * 2
