@@ -7,7 +7,9 @@ prefix lies in that layer's accepting set.  A plain (accept-at-the-end)
 program is the special case where every accepting set but the last equals
 the full state set.
 
-All probabilities are exact ``Fraction`` values with denominator ``2**n``.
+Probabilities are integer counts of accepted inputs, returned as exact
+``Fraction`` values over ``2**n``.  :func:`concat` runs programs on
+consecutive blocks as one program, so block tuples need no separate path.
 """
 
 from __future__ import annotations
@@ -109,20 +111,41 @@ def evaluate_int(p: LayeredProgram, x: int) -> bool:
 def acceptance_probability(p: LayeredProgram) -> Fraction:
     """Pr over uniform inputs that ``p`` accepts, by layer DP.
 
-    Propagates a sub-distribution over states, dropping mass that falls
-    outside an accepting set.  Exact: the result has denominator 2**n.
+    Counts the accepted input prefixes that reach each state, dropping those
+    that leave an accepting set.  Exact: the final count over 2**n.
     """
-    dist = {p.q0: Fraction(1)}
-    half = Fraction(1, 2)
+    counts = {p.q0: 1}
     for i in range(p.n):
         nxt: dict = {}
-        for q, mass in dist.items():
-            for b in (0, 1):
-                q2 = p.trans[i][q][b]
+        for q, count in counts.items():
+            for q2 in p.trans[i][q]:
                 if q2 in p.acc[i]:
-                    nxt[q2] = nxt.get(q2, Fraction(0)) + mass * half
-        dist = nxt
-    return sum(dist.values(), Fraction(0))
+                    nxt[q2] = nxt.get(q2, 0) + count
+        counts = nxt
+    return Fraction(sum(counts.values()), 1 << p.n)
+
+
+def concat(programs: Sequence[LayeredProgram]) -> LayeredProgram:
+    """One program that runs ``programs[i]`` on block i of its input.
+
+    Blocks are consecutive, each as long as its program; at every block
+    boundary the state resets to the next program's initial state.  The
+    width is the largest width (narrower tables get unused rows), and the
+    result accepts iff every program accepts its block, so its uniform
+    acceptance probability is the product of the parts'.
+    """
+    if not programs:
+        raise ParameterError("need at least one program")
+    w = max(p.w for p in programs)
+    trans: List[Tuple[Tuple[int, int], ...]] = []
+    acc: List[frozenset] = []
+    for k, p in enumerate(programs):
+        for i, table in enumerate(p.trans):
+            if i == 0 and k > 0:
+                table = (table[p.q0],) * w  # reset: every state acts as q0
+            trans.append(tuple(table) + ((0, 0),) * (w - len(table)))
+        acc.extend(p.acc)
+    return LayeredProgram(len(trans), w, programs[0].q0, tuple(trans), tuple(acc))
 
 
 # --- sliding-window property ------------------------------------------------

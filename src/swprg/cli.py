@@ -6,7 +6,7 @@ hash so runs are attributable, with timestamps kept in a separate metadata
 field so the payloads stay byte-identical across runs.
 
 Exit codes: 0 = pass, 1 = budget violation / window violation / reject,
-2 = enumeration cap refused, 3 = bad config.
+2 = enumeration cap refused, 3 = bad config (a missing or malformed value).
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"refused: {exc} (required bits: {exc.required_bits})", file=sys.stderr)
         return EXIT_CAP
-    except (SwprgError, KeyError) as exc:
+    except (SwprgError, KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return EXIT_CONFIG
 

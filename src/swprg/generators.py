@@ -117,6 +117,11 @@ class Exhaustive(GeneratorSpec):
     blocks: int
     block_bits: int
 
+    def __post_init__(self):
+        for value in (self.blocks, self.block_bits):
+            if type(value) is not int or value < 1:
+                raise ParameterError(f"blocks and block_bits must be positive ints: {value!r}")
+
     @property
     def d(self) -> int:
         return self.blocks * self.block_bits
@@ -142,8 +147,6 @@ ExhaustiveRectangle = Exhaustive
 
 
 def base_exhaustive(t: int) -> Exhaustive:
-    if t < 1:
-        raise ParameterError("output length must be positive")
     return Exhaustive(1, t)
 
 

@@ -78,33 +78,11 @@ def generator_acceptance(g, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS
 
 
 def fooling_error(g, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Fraction:
-    """|Pr[p(G(U_d))=1] - Pr[p(U_n)=1]|, exact by full seed enumeration."""
-    return abs(generator_acceptance(g, p, cap_seeds) - acceptance_probability(p))
+    """|Pr[p(G(U_d))=1] - Pr[p(U_n)=1]|, exact by full seed enumeration.
 
-
-def simultaneous_fooling_error(
-    g, programs: Sequence[LayeredProgram], cap_seeds: int = DEFAULT_CAP_BITS
-) -> Fraction:
-    """|Pr[all p_i accept their block] - prod Pr[p_i(U_t)=1]|, exact.
-
-    Program i reads block i of the generator output; the reference product
-    is over independent uniform blocks.
+    For a tuple of programs, one per block, pass ``bp.concat(programs)``.
     """
-    if len(programs) != g.blocks:
-        raise ShapeError(f"need {g.blocks} programs for {g.blocks} blocks")
-    t = g.block_bits
-    for p in programs:
-        if p.n != t:
-            raise ShapeError(f"program length {p.n} != block size {t}")
-    outs = g.expand_all(cap_seeds)
-    mask = np.uint64((1 << t) - 1)
-    alive = np.ones(len(outs), dtype=bool)
-    product = Fraction(1)
-    for i, p in enumerate(programs):
-        alive &= batch_evaluate(p, (outs >> np.uint64(i * t)) & mask)
-        product *= acceptance_probability(p)
-    joint = Fraction(int(alive.sum()), 1 << g.d)
-    return abs(joint - product)
+    return abs(generator_acceptance(g, p, cap_seeds) - acceptance_probability(p))
 
 
 # --- hitting ---------------------------------------------------------------------
@@ -116,24 +94,6 @@ def hitting_check(h, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Op
         raise ShapeError(f"generator emits {h.flat_bits} bits, program reads {p.n}")
     accepted = batch_evaluate(p, h.expand_all(cap_seeds))
     idx = np.flatnonzero(accepted)
-    return int(idx[0]) if len(idx) else None
-
-
-def simultaneous_hitting_check(
-    h, programs: Sequence[LayeredProgram], cap_seeds: int = DEFAULT_CAP_BITS
-) -> Optional[int]:
-    """First seed whose every block is accepted by its program, or None."""
-    if len(programs) != h.blocks:
-        raise ShapeError(f"need {h.blocks} programs for {h.blocks} blocks")
-    t = h.block_bits
-    outs = h.expand_all(cap_seeds)
-    mask = np.uint64((1 << t) - 1)
-    alive = np.ones(len(outs), dtype=bool)
-    for i, p in enumerate(programs):
-        if p.n != t:
-            raise ShapeError(f"program length {p.n} != block size {t}")
-        alive &= batch_evaluate(p, (outs >> np.uint64(i * t)) & mask)
-    idx = np.flatnonzero(alive)
     return int(idx[0]) if len(idx) else None
 
 
@@ -257,9 +217,14 @@ def run_fooling_report(
     cap_seeds: int = DEFAULT_CAP_BITS,
     jobs: int = 1,
 ) -> FoolingReport:
-    """Exact fooling error of every program, on ``jobs`` threads."""
+    """Exact fooling error of every program, on ``jobs`` threads.
+
+    The generator is expanded once, before the threads start; they all read
+    its cached table.
+    """
     start = time.monotonic()
     report = FoolingReport(generator_id, family, eps_budget)
+    g.expand_all(cap_seeds)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         errors = list(pool.map(lambda p: fooling_error(g, p, cap_seeds), programs))
     for i, err in enumerate(errors):

@@ -24,6 +24,7 @@ import numpy as np
 from .bp import LayeredProgram
 from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
 from .generators import Exhaustive
+from .hsg import HsgSpec
 
 Configuration = Tuple[int, ...]
 
@@ -113,30 +114,30 @@ def accepts(c: Paca, x: Sequence[int], matrix: Sequence[Sequence[int]]) -> Accep
 
 def exact_accept_probability(c: Paca, x: Sequence[int]) -> Fraction:
     """Pr over uniform coin matrices that C accepts x, by a Markov chain
-    over configuration distributions with accepting mass absorbed at its
-    first visit."""
+    over configurations that counts the coin rows reaching each one, with
+    accepting counts absorbed at their first visit."""
     x = _check_input(c, x)
     n = len(x)
     T = c.time_bound
     rows = list(product((0, 1), repeat=n))
-    row_prob = Fraction(1, 1 << n)
-    dist: Dict[Configuration, Fraction] = {x: Fraction(1)}
-    p_acc = Fraction(0)
+    counts: Dict[Configuration, int] = {x: 1}
+    accepted = 0
     for t in range(T):
-        alive: Dict[Configuration, Fraction] = {}
-        for config, mass in dist.items():
+        alive: Dict[Configuration, int] = {}
+        for config, count in counts.items():
             if c.config_accepting(config):
-                p_acc += mass
+                accepted += count
             else:
-                alive[config] = mass
+                alive[config] = count
         if t == T - 1:
             break
-        dist = {}
-        for config, mass in alive.items():
+        accepted <<= n  # every absorbed prefix extends by any coin row
+        counts = {}
+        for config, count in alive.items():
             for row in rows:
                 nxt = step(c, config, row)
-                dist[nxt] = dist.get(nxt, Fraction(0)) + mass * row_prob
-    return p_acc
+                counts[nxt] = counts.get(nxt, 0) + count
+    return Fraction(accepted, 1 << ((T - 1) * n))
 
 
 def accept_probability_bruteforce(
@@ -273,30 +274,17 @@ def derandomize_one_sided(
     """Deterministic decision for a one-sided eps-error PACA.
 
     Accepts iff step 0 accepts directly or some (t, seed) makes S_{{t}}
-    accept the HSG output, with hitting threshold eps/T.  eps is the floor
-    on the acceptance probability of inputs in the language.  With the
-    exhaustive HSG some seed hits S_{{t}} iff step t is all-accepting with
-    positive probability, which the step-vector distribution gives exactly.
+    accept the HSG output, with hitting threshold eps/T: that is, iff some
+    seed's stream has a non-empty step mask.  eps is the floor on the
+    acceptance probability of inputs in the language.
     """
-    from .lab import hitting_check
-
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     if c.config_accepting(x):
         return True
-    m = (n + T) * T
-    threshold = Fraction(eps) / T
-    h = hsg_builder(m, threshold)
-    if h.flat_bits != m:
-        raise ShapeError(f"generator emits {h.flat_bits} bits, stream needs {m}")
-    steps = tuple(range(1, T))
-    if isinstance(h.carrier, Exhaustive):
-        return any(_step_vector_distribution(c, x, steps))
-    for t in steps:
-        s_t = sliding_sim(c, x, {t})
-        if hitting_check(h, s_t, cap_seeds) is not None:
-            return True
-    return False
+    h = hsg_builder((n + T) * T, Fraction(eps) / T)
+    counts, _ = step_vector_counts(c, x, h, cap_seeds)
+    return any(counts)
 
 
 class TwoSidedResult(NamedTuple):
@@ -314,69 +302,72 @@ def derandomize_two_sided(
     eta = sum over non-empty step subsets t of (-1)^(|t|+1) * eta_t, where
     eta_t estimates Pr[all steps in t accepting] through the PRG (error
     parameter eps / 2**T); accept iff eta > 1/2.  Step 0 is deterministic
-    and handled directly.  With the exhaustive (zero-error) generator the
-    eta_t are computed by the acceptance-probability recurrence, which
-    equals full seed enumeration term by term.
+    and handled directly.  Every eta_t is a count of the step masks that
+    contain t, over the generator's seeds.
     """
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     if c.config_accepting(x):
         return TwoSidedResult(True, Fraction(1), {})
-    m = (n + T) * T
-    g = prg_builder(m, Fraction(eps) / (1 << T))
-    if g.flat_bits != m:
-        raise ShapeError(f"generator emits {g.flat_bits} bits, stream needs {m}")
-    steps = tuple(range(1, T))
-    if isinstance(g, Exhaustive):
-        vec_probs = _step_vector_distribution(c, x, steps)
-    else:
-        outs = g.expand_all(cap_seeds)
-        counts: Dict[int, int] = {}
-        for r in outs:
-            v = accepting_steps_of_stream(c, x, int(r))
-            counts[v] = counts.get(v, 0) + 1
-        denom = 1 << g.d
-        vec_probs = {v: Fraction(cnt, denom) for v, cnt in counts.items()}
-    eta = Fraction(0)
+    g = prg_builder((n + T) * T, Fraction(eps) / (1 << T))
+    counts, bits = step_vector_counts(c, x, g, cap_seeds)
+    steps = range(1, T)
+    eta_count = 0
     eta_terms: Dict[FrozenSet[int], Fraction] = {}
     for sub in range(1, 1 << len(steps)):
-        t_mask = 0
-        members = []
-        for idx, s in enumerate(steps):
-            if (sub >> idx) & 1:
-                t_mask |= 1 << s
-                members.append(s)
-        eta_t = sum(
-            (p for v, p in vec_probs.items() if v & t_mask == t_mask), Fraction(0)
-        )
-        eta_terms[frozenset(members)] = eta_t
-        eta += eta_t if len(members) % 2 == 1 else -eta_t
+        members = [s for idx, s in enumerate(steps) if (sub >> idx) & 1]
+        t_mask = sum(1 << s for s in members)
+        count = sum(cnt for v, cnt in counts.items() if v & t_mask == t_mask)
+        eta_terms[frozenset(members)] = Fraction(count, 1 << bits)
+        eta_count += count if len(members) % 2 == 1 else -count
+    eta = Fraction(eta_count, 1 << bits)
     return TwoSidedResult(eta > Fraction(1, 2), eta, eta_terms)
 
 
-def _step_vector_distribution(
-    c: Paca, x: Tuple[int, ...], steps: Tuple[int, ...]
-) -> Dict[int, Fraction]:
-    """Joint distribution of the per-step acceptance indicators (as bit
-    masks over ``steps``), via the configuration Markov chain."""
-    n = len(x)
+def step_vector_counts(
+    c: Paca, x: Tuple[int, ...], g, cap_seeds: int = DEFAULT_CAP_BITS
+) -> Tuple[Dict[int, int], int]:
+    """Counts of each step mask (the steps 1..T-1 whose configuration is
+    all-accepting) over 2**bits equally likely outcomes, and ``bits``.
+
+    ``g`` emits the (n+T)*T-bit coin stream.  An exhaustive generator (or an
+    HSG over one) emits every stream once, so the outcomes are the coin
+    matrices of the configuration chain, which give the same proportions;
+    for any other generator they are its seeds, each stream swept.
+    """
+    n, T = len(x), c.time_bound
+    m = (n + T) * T
+    if g.flat_bits != m:
+        raise ShapeError(f"generator emits {g.flat_bits} bits, stream needs {m}")
+    if isinstance(g.carrier if isinstance(g, HsgSpec) else g, Exhaustive):
+        return _step_vector_distribution(c, x)
+    steps_mask = (1 << T) - 2
+    counts: Dict[int, int] = {}
+    for r in g.expand_all(cap_seeds):
+        v = accepting_steps_of_stream(c, x, int(r)) & steps_mask
+        counts[v] = counts.get(v, 0) + 1
+    return counts, g.d
+
+
+def _step_vector_distribution(c: Paca, x: Tuple[int, ...]) -> Tuple[Dict[int, int], int]:
+    """Joint distribution of the acceptance indicators of steps 1..T-1 (as
+    bit masks), via the configuration Markov chain: how many coin matrices
+    of T-1 rows give each mask, and the log2 of their total."""
+    n, T = len(x), c.time_bound
     rows = list(product((0, 1), repeat=n))
-    row_prob = Fraction(1, 1 << n)
-    dist: Dict[Tuple[Configuration, int], Fraction] = {(x, 0): Fraction(1)}
-    for s in range(1, max(steps, default=0) + 1):
-        nxt: Dict[Tuple[Configuration, int], Fraction] = {}
-        for (config, v), mass in dist.items():
-            share = mass * row_prob
+    counts: Dict[Tuple[Configuration, int], int] = {(x, 0): 1}
+    for s in range(1, T):
+        nxt: Dict[Tuple[Configuration, int], int] = {}
+        for (config, v), count in counts.items():
             for row in rows:
                 nc = step(c, config, row)
-                nv = v | (1 << s) if (s in steps and c.config_accepting(nc)) else v
-                key = (nc, nv)
-                nxt[key] = nxt.get(key, Fraction(0)) + share
-        dist = nxt
-    out: Dict[int, Fraction] = {}
-    for (_, v), mass in dist.items():
-        out[v] = out.get(v, Fraction(0)) + mass
-    return out
+                key = (nc, v | (1 << s) if c.config_accepting(nc) else v)
+                nxt[key] = nxt.get(key, 0) + count
+        counts = nxt
+    out: Dict[int, int] = {}
+    for (_, v), count in counts.items():
+        out[v] = out.get(v, 0) + count
+    return out, (T - 1) * n
 
 
 # --- fixtures -------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from swprg.bp import (
     canonical_debruijn_swbp,
     certificate_is_valid,
     check_window,
+    concat,
 )
 from swprg.generators import (
     ExhaustiveRectangle,
@@ -42,7 +43,6 @@ from swprg.lab import (
     fooling_error,
     run_hitting_report,
     sample_swbp,
-    simultaneous_fooling_error,
 )
 from swprg.paca import (
     build_c1,
@@ -245,7 +245,7 @@ def test_criterion_5_lemma_constants():
     st1 = inw_stretch(nb, perfect_extractor(nb.d))
     pair_family = list(enumerate_swbp_family(4, 2, budget_bits=6))
     worst_pair = max(
-        simultaneous_fooling_error(st1, [p1, p2])
+        fooling_error(st1, concat([p1, p2]))
         for p1 in pair_family
         for p2 in pair_family
     )
@@ -274,7 +274,7 @@ def test_criterion_5_lemma_constants():
     ok &= worst_quad <= 9 * eps_hat
     lines.append(f"inw r=2 simultaneous {worst_quad} <= {9 * eps_hat}")
     # spot-check the vectorized sweep against the library oracle
-    spot = simultaneous_fooling_error(st2, [quad_family[1]] * 4, cap_seeds=st2.d)
+    spot = fooling_error(st2, concat([quad_family[1]] * 4), cap_seeds=st2.d)
     a1 = accept[(1, 0)] & accept[(1, 1)] & accept[(1, 2)] & accept[(1, 3)]
     assert spot == abs(Fraction(int(a1.sum()), denom) - probs[1] ** 4)
 

@@ -16,6 +16,7 @@ from swprg.bp import (
     canonical_debruijn_swbp,
     certificate_is_valid,
     check_window,
+    concat,
     evaluate,
     evaluate_int,
     pad_program,
@@ -66,22 +67,47 @@ def test_unanimity_vs_final_layer():
     assert accepted_strict < accepted_full
 
 
+def random_program(rng, max_n=8):
+    n, w = rng.randint(1, max_n), rng.randint(1, 4)
+    trans = tuple(
+        tuple((rng.randrange(w), rng.randrange(w)) for _ in range(w))
+        for _ in range(n)
+    )
+    acc = tuple(
+        frozenset(q for q in range(w) if rng.random() < 0.7) for _ in range(n)
+    )
+    return LayeredProgram(n, w, rng.randrange(w), trans, acc)
+
+
 def test_acceptance_probability_matches_enumeration():
     rng = random.Random(11)
     for _ in range(25):
-        n, w = rng.randint(1, 8), rng.randint(1, 4)
-        trans = tuple(
-            tuple((rng.randrange(w), rng.randrange(w)) for _ in range(w))
-            for _ in range(n)
-        )
-        acc = tuple(
-            frozenset(q for q in range(w) if rng.random() < 0.7) for _ in range(n)
-        )
-        p = LayeredProgram(n, w, rng.randrange(w), trans, acc)
+        p = random_program(rng)
         direct = Fraction(
-            sum(evaluate_int(p, x) for x in range(1 << n)), 1 << n
+            sum(evaluate_int(p, x) for x in range(1 << p.n)), 1 << p.n
         )
         assert acceptance_probability(p) == direct
+
+
+def test_concat_accepts_iff_every_block_accepted():
+    rng = random.Random(13)
+    for _ in range(20):
+        parts = [random_program(rng, max_n=4) for _ in range(rng.randint(1, 3))]
+        cat = concat(parts)
+        assert cat.n == sum(p.n for p in parts)
+        assert cat.w == max(p.w for p in parts)
+        for x in range(1 << cat.n):
+            want, shift = True, 0
+            for p in parts:
+                want &= evaluate_int(p, (x >> shift) & ((1 << p.n) - 1))
+                shift += p.n
+            assert evaluate_int(cat, x) == want
+        product = Fraction(1)
+        for p in parts:
+            product *= acceptance_probability(p)
+        assert acceptance_probability(cat) == product
+    with pytest.raises(ParameterError):
+        concat([])
 
 
 def test_canonical_debruijn_is_window_t():

@@ -167,3 +167,18 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["gen", "--config", missing]) == EXIT_CONFIG
     cfg = write_config(tmp_path, {"wrong": 1})
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, config", [
+    ("verify-fool", {
+        "generator": {"kind": "exhaustive", "t": 4},
+        "family": {"n": 4, "t": 2, "budget_bits": 2},
+        "eps_budget": "abc",
+    }),
+    ("paca", {"paca": "c1", "mode": "derand2", "input": [0], "eps": "1/0"}),
+    ("gen", {"generator": {"kind": "exhaustive", "t": "8"}}),
+])
+def test_malformed_config_value_exit_code(tmp_path, command, config):
+    code, out = run(tmp_path, command, config)
+    assert code == EXIT_CONFIG
+    assert not out.exists()

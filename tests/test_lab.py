@@ -1,4 +1,6 @@
 import random
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +11,11 @@ from swprg.bp import (
     WindowCertificate,
     acceptance_probability,
     check_window,
+    concat,
     evaluate_int,
 )
 from swprg.errors import CapExceeded, ShapeError
-from swprg.generators import base_exhaustive, base_nisan, interleave
+from swprg.generators import Exhaustive, base_exhaustive, base_nisan, interleave
 from swprg.lab import (
     acceptance_probability_bruteforce,
     batch_evaluate,
@@ -23,8 +26,6 @@ from swprg.lab import (
     run_fooling_report,
     run_hitting_report,
     sample_swbp,
-    simultaneous_fooling_error,
-    simultaneous_hitting_check,
 )
 
 
@@ -102,7 +103,7 @@ def test_fooling_error_second_oracle_nisan():
 def test_simultaneous_independent_blocks_zero():
     g = interleave(base_exhaustive(1), base_exhaustive(1))
     p = bit_is_one_program()
-    assert simultaneous_fooling_error(g, [p, p]) == 0
+    assert fooling_error(g, concat([p, p])) == 0
 
 
 def test_simultaneous_duplicated_block():
@@ -117,13 +118,13 @@ def test_simultaneous_duplicated_block():
 
     p = bit_is_one_program()
     # joint = 1/2, product = 1/4
-    assert simultaneous_fooling_error(DupGen(), [p, p]) == Fraction(1, 4)
+    assert fooling_error(DupGen(), concat([p, p])) == Fraction(1, 4)
 
 
 def test_simultaneous_never_accepting_is_zero():
     g = interleave(base_exhaustive(1), base_exhaustive(1))
     never = LayeredProgram(1, 2, 0, ((((0, 1), (0, 1))),), (frozenset(),))
-    assert simultaneous_fooling_error(g, [bit_is_one_program(), never]) == 0
+    assert fooling_error(g, concat([bit_is_one_program(), never])) == 0
 
 
 def test_hitting_check_trivial_cases():
@@ -136,7 +137,7 @@ def test_hitting_check_trivial_cases():
 def test_simultaneous_hitting():
     g = interleave(base_exhaustive(1), base_exhaustive(1))
     p = bit_is_one_program()
-    seed = simultaneous_hitting_check(g, [p, p])
+    seed = hitting_check(g, concat([p, p]))
     assert seed is not None
     assert g.expand_int(seed) == 0b11
 
@@ -182,6 +183,23 @@ def test_fooling_report_and_csv():
     assert len(csv.splitlines()) == len(fam) + 1
     payload = report.to_json()
     assert payload["passed"] is True
+
+
+def test_fooling_report_expands_once_on_many_threads():
+    expansions = []
+
+    @dataclass(frozen=True)
+    class SlowExhaustive(Exhaustive):
+        def expand_seeds(self, seeds):
+            expansions.append(len(seeds))
+            time.sleep(0.2)  # long enough for a second thread to start its own
+            return super().expand_seeds(seeds)
+
+    g = SlowExhaustive(1, 4)
+    fam = list(enumerate_swbp_family(4, 2, budget_bits=4))
+    report = run_fooling_report(g, fam, Fraction(0), jobs=2)
+    assert report.passed and report.programs_checked == len(fam)
+    assert expansions == [1 << g.d]
 
 
 def test_hitting_report():

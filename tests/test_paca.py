@@ -7,8 +7,8 @@ import pytest
 
 from swprg.bp import acceptance_probability, check_window, evaluate_int, WindowCertificate
 from swprg.errors import ParameterError, ShapeError
-from swprg.generators import base_exhaustive
-from swprg.hsg import hsg_exhaustive
+from swprg.generators import PairwiseRectangle, base_exhaustive, rect_compose
+from swprg.hsg import from_prg, hsg_exhaustive
 from swprg.lab import batch_evaluate
 from swprg.paca import (
     Paca,
@@ -234,6 +234,25 @@ def test_derandomize_one_sided_exhaustive_cross_check():
         x = tuple(rng.choice(c.sigma) for _ in range(n))
         decision = derandomize_one_sided(c, x, Fraction(1, 4), builder)
         assert decision == (exact_accept_probability(c, x) > 0)
+
+
+def test_derandomize_one_sided_through_pairwise_hsg():
+    # decide through a non-exhaustive HSG; the oracle runs the automaton on
+    # the derived coin matrix of every output stream
+    rng = random.Random(31)
+    decisions = []
+    for _ in range(20):
+        c = sample_paca(rng, 2, rng.randint(2, 3))
+        n, T = rng.randint(1, 2), c.time_bound
+        x = tuple(rng.choice(c.sigma) for _ in range(n))
+        m = (n + T) * T
+        k = next(k for k in (3, 2, 5) if m % k == 0)
+        h = from_prg(rect_compose(base_exhaustive(k), PairwiseRectangle(m // k, k)))
+        decision = derandomize_one_sided(c, x, Fraction(1, 4), lambda m, thr: h)
+        matrices = (derived_matrix(stream_to_matrix(int(r), n, T), n, T) for r in h.expand_all())
+        assert decision == any(accepts(c, x, R).accept for R in matrices)
+        decisions.append(decision)
+    assert set(decisions) == {True, False}
 
 
 def test_derandomize_two_sided_exhaustive_equals_exact():
