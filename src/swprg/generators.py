@@ -108,6 +108,13 @@ def _expand_part(child: GeneratorSpec, part: np.ndarray) -> np.ndarray:
 # --- base and rectangle generators ---------------------------------------------------
 
 
+def _check_block_fields(node) -> None:
+    """``__post_init__`` of the nodes whose shape is their two fields."""
+    for value in (node.blocks, node.block_bits):
+        if type(value) is not int or value < 1:
+            raise ParameterError(f"blocks and block_bits must be positive ints: {value!r}")
+
+
 @dataclass(frozen=True)
 class Exhaustive(GeneratorSpec):
     """Identity generator: the seed is the output, cut into ``blocks``
@@ -117,10 +124,7 @@ class Exhaustive(GeneratorSpec):
     blocks: int
     block_bits: int
 
-    def __post_init__(self):
-        for value in (self.blocks, self.block_bits):
-            if type(value) is not int or value < 1:
-                raise ParameterError(f"blocks and block_bits must be positive ints: {value!r}")
+    __post_init__ = _check_block_fields
 
     @property
     def d(self) -> int:
@@ -253,6 +257,8 @@ class PairwiseRectangle(GeneratorSpec):
     blocks: int
     block_bits: int
     eps_cr: Fraction = Fraction(1)
+
+    __post_init__ = _check_block_fields
 
     @property
     def hash_family(self) -> HashFamily:

@@ -122,21 +122,15 @@ def enumerate_swbp_family(
 
     Labelings toggle the first 2**budget_bits positions in
     :func:`_label_positions` order; positions beyond the budget stay
-    accepting.  With no budget the full family is enumerated, refusing via
-    CapExceeded when it exceeds the default cap.  Mask 0 is always the
-    all-accepting program.  Every emitted program is a window-t program
-    (the property depends only on the transitions).
+    accepting.  With no budget the full family is enumerated.  Either way
+    it refuses via CapExceeded when the family exceeds the default cap.
+    Mask 0 is always the all-accepting program.  Every emitted program is a
+    window-t program (the property depends only on the transitions).
     """
     positions = _label_positions(n, t)
-    total_bits = len(positions)
-    if budget_bits is None:
-        if total_bits > DEFAULT_CAP_BITS:
-            raise CapExceeded(
-                f"full family has 2**{total_bits} labelings; pass budget_bits",
-                total_bits,
-            )
-        budget_bits = total_bits
-    k = min(budget_bits, total_bits)
+    k = len(positions) if budget_bits is None else min(budget_bits, len(positions))
+    if k > DEFAULT_CAP_BITS:
+        raise CapExceeded(f"family has 2**{k} labelings (cap {DEFAULT_CAP_BITS} bits)", k)
     canonical, _ = canonical_debruijn_swbp(n, t, all_accepting_labeler)
     base_acc = [set(a) for a in canonical.acc]
     for mask in range(1 << k):

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -56,6 +56,14 @@ class Paca:
         if self.time_bound < 1:
             raise ParameterError("time bound must be positive")
 
+    @cached_property
+    def _rules(self) -> List[list]:
+        """delta0/delta1 as nested lists [bit][left][center][right], far faster
+        to index than numpy; equal planes are stored once (the fixtures repeat theirs)."""
+        planes = {p.tobytes(): p for t in (self.delta0, self.delta1) for p in t}
+        lists = {key: p.tolist() for key, p in planes.items()}
+        return [[lists[p.tobytes()] for p in t] for t in (self.delta0, self.delta1)]
+
     @property
     def boundary(self) -> int:
         return self.q
@@ -64,8 +72,7 @@ class Paca:
         """Extended local rule: out-of-bounds cells stay at the boundary."""
         if center == self.q:
             return self.q
-        table = self.delta1 if bit else self.delta0
-        return int(table[left, center, right])
+        return self._rules[bit][left][center][right]
 
     def config_accepting(self, config: Configuration) -> bool:
         return all(s in self.accepting for s in config)
@@ -76,11 +83,27 @@ def step(c: Paca, config: Configuration, row: Sequence[int]) -> Configuration:
     n = len(config)
     if len(row) != n:
         raise ShapeError(f"row length {len(row)} != configuration length {n}")
-    b = c.boundary
-    padded = (b,) + tuple(config) + (b,)
+    padded = (c.boundary, *config, c.boundary)
     return tuple(
         c.delta(row[i], padded[i], padded[i + 1], padded[i + 2]) for i in range(n)
     )
+
+
+def successors(c: Paca, config: Configuration) -> Dict[Configuration, int]:
+    """Every configuration one step after ``config``, with the number of the
+    2**n coin rows leading to it, built cell by cell (cells toss independent
+    coins): each cell has two outcomes, merged when they are equal."""
+    padded = (c.boundary, *config, c.boundary)
+    prefixes: Dict[Configuration, int] = {(): 1}
+    for i in range(len(config)):
+        cell = [c.delta(bit, *padded[i : i + 3]) for bit in (0, 1)]
+        outcomes = {s: cell.count(s) for s in cell}
+        prefixes = {
+            prefix + (s,): count * mult
+            for prefix, count in prefixes.items()
+            for s, mult in outcomes.items()
+        }
+    return prefixes
 
 
 def _check_input(c: Paca, x: Sequence[int]) -> Tuple[int, ...]:
@@ -113,31 +136,14 @@ def accepts(c: Paca, x: Sequence[int], matrix: Sequence[Sequence[int]]) -> Accep
 
 
 def exact_accept_probability(c: Paca, x: Sequence[int]) -> Fraction:
-    """Pr over uniform coin matrices that C accepts x, by a Markov chain
-    over configurations that counts the coin rows reaching each one, with
-    accepting counts absorbed at their first visit."""
+    """Pr over uniform coin matrices that C accepts x: 1 if step 0 accepts,
+    otherwise the share of coin matrices whose step mask over steps 1..T-1
+    (:func:`_step_vector_distribution`) is non-empty."""
     x = _check_input(c, x)
-    n = len(x)
-    T = c.time_bound
-    rows = list(product((0, 1), repeat=n))
-    counts: Dict[Configuration, int] = {x: 1}
-    accepted = 0
-    for t in range(T):
-        alive: Dict[Configuration, int] = {}
-        for config, count in counts.items():
-            if c.config_accepting(config):
-                accepted += count
-            else:
-                alive[config] = count
-        if t == T - 1:
-            break
-        accepted <<= n  # every absorbed prefix extends by any coin row
-        counts = {}
-        for config, count in alive.items():
-            for row in rows:
-                nxt = step(c, config, row)
-                counts[nxt] = counts.get(nxt, 0) + count
-    return Fraction(accepted, 1 << ((T - 1) * n))
+    if c.config_accepting(x):
+        return Fraction(1)
+    counts, bits = _step_vector_distribution(c, x)
+    return 1 - Fraction(counts.get(0, 0), 1 << bits)
 
 
 def accept_probability_bruteforce(
@@ -154,9 +160,7 @@ def accept_probability_bruteforce(
         )
     count = 0
     for r in range(1 << total_bits):
-        matrix = [
-            [(r >> (t * n + j)) & 1 for j in range(n)] for t in range(T)
-        ]
+        matrix = [[(r >> (t * n + j)) & 1 for j in range(n)] for t in range(T)]
         if accepts(c, x, matrix).accept:
             count += 1
     return Fraction(count, 1 << total_bits)
@@ -229,9 +233,7 @@ def sliding_sim(c: Paca, x: Sequence[int], t_set) -> LayeredProgram:
         layer_states = nxt_states
         index = nxt_index
     w = max(max(len(tbl) for tbl in trans), len(layer_states), 1)
-    padded = tuple(
-        tuple(tbl) + ((0, 0),) * (w - len(tbl)) for tbl in trans
-    )
+    padded = tuple(tuple(tbl) + ((0, 0),) * (w - len(tbl)) for tbl in trans)
     return LayeredProgram(m, w, 0, padded, tuple(frozenset(a) for a in acc))
 
 
@@ -332,8 +334,9 @@ def step_vector_counts(
 
     ``g`` emits the (n+T)*T-bit coin stream.  An exhaustive generator (or an
     HSG over one) emits every stream once, so the outcomes are the coin
-    matrices of the configuration chain, which give the same proportions;
-    for any other generator they are its seeds, each stream swept.
+    matrices of the configuration chain that :func:`exact_accept_probability`
+    reads too, in the same proportions; for any other generator they are
+    its seeds, each stream swept.
     """
     n, T = len(x), c.time_bound
     m = (n + T) * T
@@ -352,17 +355,16 @@ def step_vector_counts(
 def _step_vector_distribution(c: Paca, x: Tuple[int, ...]) -> Tuple[Dict[int, int], int]:
     """Joint distribution of the acceptance indicators of steps 1..T-1 (as
     bit masks), via the configuration Markov chain: how many coin matrices
-    of T-1 rows give each mask, and the log2 of their total."""
+    of T-1 rows give each mask, and the log2 of their total.  Each step
+    walks :func:`successors`."""
     n, T = len(x), c.time_bound
-    rows = list(product((0, 1), repeat=n))
     counts: Dict[Tuple[Configuration, int], int] = {(x, 0): 1}
     for s in range(1, T):
         nxt: Dict[Tuple[Configuration, int], int] = {}
         for (config, v), count in counts.items():
-            for row in rows:
-                nc = step(c, config, row)
+            for nc, mult in successors(c, config).items():
                 key = (nc, v | (1 << s) if c.config_accepting(nc) else v)
-                nxt[key] = nxt.get(key, 0) + count
+                nxt[key] = nxt.get(key, 0) + count * mult
         counts = nxt
     out: Dict[int, int] = {}
     for (_, v), count in counts.items():
@@ -509,21 +511,19 @@ def check_time_bound(c: Paca, n: int) -> bool:
     the configurations reachable without an accepting visit; the bound fails
     iff an accepting configuration is reachable from the step-T frontier
     through non-accepting configurations."""
-    rows = list(product((0, 1), repeat=n))
-
-    def successors(configs) -> set:
-        return {step(c, cf, row) for cf in configs for row in rows}
+    def reach(configs) -> set:
+        return {nc for cf in configs for nc in successors(c, cf)}
 
     for x in product(c.sigma, repeat=n):
         frontier = {x}
         for _ in range(c.time_bound):
-            frontier = successors(cf for cf in frontier if not c.config_accepting(cf))
+            frontier = reach(cf for cf in frontier if not c.config_accepting(cf))
         seen = set()
         while frontier:
             if any(c.config_accepting(cf) for cf in frontier):
                 return False
             seen |= frontier
-            frontier = successors(frontier) - seen
+            frontier = reach(frontier) - seen
     return True
 
 

@@ -44,6 +44,15 @@ def test_gen_cap_refusal(tmp_path):
     assert code == EXIT_CAP
 
 
+def test_verify_fool_family_budget_over_cap(tmp_path):
+    config = {
+        "generator": generators.base_exhaustive(4).to_json(),
+        "family": {"n": 16, "t": 2, "budget_bits": 40},
+    }
+    code, _ = run(tmp_path, "verify-fool", config)
+    assert code == EXIT_CAP
+
+
 def test_verify_fool_exhaustive_passes(tmp_path):
     g = generators.base_exhaustive(4)
     config = {

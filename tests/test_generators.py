@@ -246,6 +246,15 @@ def test_pairwise_rectangle_blocks_are_hash_values():
             assert (v >> (3 * i)) & 7 == fam.eval(seed, i)
 
 
+def test_rectangles_refuse_non_positive_blocks():
+    for blocks, block_bits in ((0, 4), (-3, 4), (4, 0), (2.0, 4)):
+        for make in (PairwiseRectangle, ExhaustiveRectangle):
+            with pytest.raises(ParameterError):
+                make(blocks, block_bits)
+    with pytest.raises(ParameterError):
+        generator_from_json({"kind": "pairwise_rect", "blocks": 0, "block_bits": 4, "eps_cr": "1"})
+
+
 def test_interleave_order():
     g1 = base_exhaustive(2)
     g2 = base_exhaustive(2)

@@ -160,6 +160,13 @@ def test_family_budget_and_refusal():
     assert exc.value.required_bits == family_size_bits(8, 2)
 
 
+def test_family_budget_over_cap_refused():
+    # a budget does not lift the cap: 2**40 labelings of a 2**62 family
+    with pytest.raises(CapExceeded) as exc:
+        next(enumerate_swbp_family(16, 2, 40))
+    assert exc.value.required_bits == 40
+
+
 def test_family_members_are_window_t():
     for p in enumerate_swbp_family(6, 2, budget_bits=6):
         assert isinstance(check_window(p, 2), WindowCertificate)

@@ -1,6 +1,8 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from swprg.paca import (
     spacetime_diagram,
     step,
     stream_to_matrix,
+    successors,
 )
 
 
@@ -98,10 +101,22 @@ def test_c2_accepts_iff_some_pair_zero():
         assert accepts(c, x, matrix).accept == want
 
 
+def test_successors_count_every_coin_row():
+    # the cell-by-cell kernel against stepping every one of the 2**n rows
+    rng = random.Random(41)
+    for _ in range(30):
+        c = sample_paca(rng, rng.randint(2, 4), 2)
+        n = rng.randint(1, 6)
+        config = tuple(rng.randrange(c.q) for _ in range(n))
+        got = successors(c, config)
+        assert got == Counter(step(c, config, row) for row in product((0, 1), repeat=n))
+        assert sum(got.values()) == 1 << n
+
+
 def test_exact_probability_fixtures():
     c1, c2 = build_c1(), build_c2()
-    for n in (1, 2, 3):
-        for xv in range(1 << n):
+    for n in (1, 2, 3, 10):
+        for xv in range(1 << n) if n < 10 else (0, 0b0101010101, (1 << n) - 1):
             x1 = tuple(c1.sigma[(xv >> i) & 1] for i in range(n))
             assert exact_accept_probability(c1, x1) == Fraction(1, 4)
             x2 = tuple(c2.sigma[(xv >> i) & 1] for i in range(n))
@@ -262,7 +277,9 @@ def test_derandomize_two_sided_exhaustive_equals_exact():
         c = sample_paca(rng, 2, rng.randint(2, 3))
         x = tuple(rng.choice(c.sigma) for _ in range(2))
         result = derandomize_two_sided(c, x, Fraction(1, 8), builder)
+        # both read the configuration chain; matrix enumeration is independent
         assert result.eta == exact_accept_probability(c, x)
+        assert result.eta == accept_probability_bruteforce(c, x)  # T*n <= 6 bits
 
 
 def test_derandomize_two_sided_fixtures():
