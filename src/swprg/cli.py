@@ -47,13 +47,14 @@ def _write(out_dir: Path, name: str, payload: dict, config: dict) -> None:
 
 def _load_programs(config: dict):
     """A family descriptor {"n", "t", "budget_bits"} or an explicit
-    {"program": path} entry."""
+    {"program": path} entry, as a family and its name."""
     fam = config.get("family")
     if fam is not None:
-        return list(
-            lab.enumerate_swbp_family(fam["n"], fam["t"], fam.get("budget_bits"))
-        ), f"canonical n={fam['n']} t={fam['t']}"
-    return [bp.load_program(config["program"])], config["program"]
+        return (
+            lab.swbp_family(fam["n"], fam["t"], fam.get("budget_bits")),
+            f"canonical n={fam['n']} t={fam['t']}",
+        )
+    return lab.MaskFamily(bp.load_program(config["program"])), config["program"]
 
 
 def cmd_gen(config: dict, out_dir: Path, args) -> int:
@@ -74,11 +75,9 @@ def cmd_gen(config: dict, out_dir: Path, args) -> int:
 
 def cmd_verify_fool(config: dict, out_dir: Path, args) -> int:
     g = generators.generator_from_json(config["generator"])
-    programs, family_name = _load_programs(config)
+    family, family_name = _load_programs(config)
     eps = Fraction(config.get("eps_budget", g.eps_budget))
-    report = lab.run_fooling_report(
-        g, programs, eps, "generator", family_name, args.cap_seeds, args.jobs
-    )
+    report = lab.run_fooling_report(g, family, eps, "generator", family_name, args.cap_seeds)
     _write(out_dir, "fooling.json", report.to_json(), config)
     (out_dir / "fooling.csv").write_text(report.to_csv())
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -86,8 +85,8 @@ def cmd_verify_fool(config: dict, out_dir: Path, args) -> int:
 
 def cmd_verify_hit(config: dict, out_dir: Path, args) -> int:
     h = hsg.hsg_from_json(config["hsg"])
-    programs, family_name = _load_programs(config)
-    report = lab.run_hitting_report(h, programs, "hsg", family_name, args.cap_seeds)
+    family, family_name = _load_programs(config)
+    report = lab.run_hitting_report(h, family, "hsg", family_name, args.cap_seeds)
     _write(out_dir, "hitting.json", report.to_json(), config)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -181,7 +180,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="ignored: each family is counted in one pass; kept so old command lines run",
+    )
     parser.add_argument("--cap-seeds", type=int, default=DEFAULT_CAP_BITS, dest="cap_seeds")
     args = parser.parse_args(argv)
     try:

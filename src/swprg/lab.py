@@ -1,5 +1,6 @@
 """Exhaustive verification: exact fooling errors, hitting checks, and the
-window-program family enumerators the budgets are tested against.
+window-program families the budgets are tested against, each family
+counted in one pass (:class:`MaskFamily`).
 
 Everything here enumerates; nothing samples for the verdicts themselves.
 Enumeration costs are guarded by explicit caps and the harness refuses
@@ -11,10 +12,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,11 +23,12 @@ from .bp import (
     acceptance_probability,
     canonical_debruijn_swbp,
     all_accepting_labeler,
+    concat,
     program_to_json,
     quotient_swbp,
     relabel,
 )
-from .errors import DEFAULT_CAP_BITS, CapExceeded, ShapeError
+from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
 
 
 def program_tables(p: LayeredProgram) -> Tuple[np.ndarray, np.ndarray]:
@@ -40,16 +41,23 @@ def program_tables(p: LayeredProgram) -> Tuple[np.ndarray, np.ndarray]:
     return trans, acc
 
 
-def batch_evaluate(p: LayeredProgram, inputs: np.ndarray) -> np.ndarray:
-    """Acceptance of ``p`` on an array of packed inputs (LSB = first bit)."""
-    trans, acc = program_tables(p)
-    luts = trans.reshape(p.n, -1)  # flat per-layer lookup on state*2 + bit
+def _states(p: LayeredProgram, inputs: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """Layer index i and the state after layer i + 1, for every packed input
+    (LSB = first bit), one layer at a time."""
+    luts = program_tables(p)[0].reshape(p.n, -1)  # flat per-layer lookup on state*2 + bit
     state = np.full(len(inputs), p.q0, dtype=np.intp)
-    alive = np.ones(len(inputs), dtype=bool)
     inputs = inputs.astype(np.uint64, copy=False)
     for i in range(p.n):
         bit = ((inputs >> np.uint64(i)) & np.uint64(1)).astype(np.intp)
         state = luts[i][(state << 1) | bit]
+        yield i, state
+
+
+def batch_evaluate(p: LayeredProgram, inputs: np.ndarray) -> np.ndarray:
+    """Acceptance of ``p`` on an array of packed inputs (LSB = first bit)."""
+    acc = program_tables(p)[1]
+    alive = np.ones(len(inputs), dtype=bool)
+    for i, state in _states(p, inputs):
         alive &= acc[i][state]
     return alive
 
@@ -115,34 +123,145 @@ def family_size_bits(n: int, t: int) -> int:
     return len(_label_positions(n, t))
 
 
+def _subset_sums_by_mask(hist: np.ndarray) -> np.ndarray:
+    """Entry M: the total of ``hist`` over the visit sets that miss M.
+
+    One in-place subset-sum (zeta) transform over the 2**k entries, after
+    Yates (1937), read at the complement of M, which reverses the array.
+    """
+    for i in range(len(hist).bit_length() - 1):
+        pairs = hist.reshape(-1, 2, 1 << i)
+        pairs[:, 1] += pairs[:, 0]
+    return hist[::-1]
+
+
+@dataclass(frozen=True)
+class MaskFamily:
+    """The 2**k programs one base program spans with k toggle positions.
+
+    ``positions[j]`` is a (layer, state) pair, layers 1-based.  Program M is
+    ``base`` with the state of every position j in M's set bits taken out of
+    that layer's accepting set, so program 0 is the base.  Program M accepts
+    x iff the base accepts x and the set v(x) of toggle positions x visits
+    misses M; so one run of the base, a histogram of v and one subset-sum
+    transform count every program at once.  A single program is the family
+    with no positions.  Refuses a family of more than 2**DEFAULT_CAP_BITS
+    programs with CapExceeded.
+    """
+
+    base: LayeredProgram
+    positions: Tuple[Tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        for layer, state in self.positions:
+            if not (1 <= layer <= self.base.n and 0 <= state < self.base.w):
+                raise ParameterError(f"toggle position {(layer, state)} outside the program")
+        if self.k > DEFAULT_CAP_BITS:
+            raise CapExceeded(
+                f"family has 2**{self.k} labelings (cap {DEFAULT_CAP_BITS} bits)", self.k
+            )
+
+    @property
+    def k(self) -> int:
+        return len(self.positions)
+
+    def __len__(self) -> int:
+        return 1 << self.k
+
+    def program(self, mask: int) -> LayeredProgram:
+        """Program ``mask``, built on its own."""
+        acc = [set(a) for a in self.base.acc]
+        for j, (layer, state) in enumerate(self.positions):
+            if (mask >> j) & 1:
+                acc[layer - 1].discard(state)
+        p = self.base
+        return LayeredProgram(p.n, p.w, p.q0, p.trans, tuple(frozenset(a) for a in acc))
+
+    def _visit_bits(self) -> List[List[int]]:
+        """``[i][q]``: the bits of the toggle positions at layer i + 1, state q."""
+        bits = [[0] * self.base.w for _ in range(self.base.n)]
+        for j, (layer, state) in enumerate(self.positions):
+            bits[layer - 1][state] |= 1 << j
+        return bits
+
+    def accept_counts(self, outputs: np.ndarray) -> np.ndarray:
+        """How many of the packed ``outputs`` each program accepts, by mask."""
+        acc = program_tables(self.base)[1]
+        bits = np.array(self._visit_bits(), dtype=np.int64)
+        alive = np.ones(len(outputs), dtype=bool)
+        visits = np.zeros(len(outputs), dtype=np.int64)
+        for i, state in _states(self.base, outputs):
+            alive &= acc[i][state]
+            if bits[i].any():
+                visits |= bits[i][state]
+        return _subset_sums_by_mask(np.bincount(visits[alive], minlength=len(self)))
+
+    def uniform_counts(self) -> np.ndarray:
+        """How many of the 2**n inputs each program accepts, by mask.
+
+        The layer DP of :func:`bp.acceptance_probability`, run over (state,
+        visit set) pairs, so its cost grows with the pairs that occur, not
+        with 2**n.  Counts that may not fit int64 (n >= 63) are Python ints.
+        """
+        p, bits = self.base, self._visit_bits()
+        counts = {(p.q0, 0): 1}
+        for i in range(p.n):
+            nxt: Dict[Tuple[int, int], int] = {}
+            for (q, v), count in counts.items():
+                for q2 in p.trans[i][q]:
+                    if q2 in p.acc[i]:
+                        key = (q2, v | bits[i][q2])
+                        nxt[key] = nxt.get(key, 0) + count
+            counts = nxt
+        hist = np.zeros(len(self), dtype=np.int64 if p.n < 63 else object)
+        for (_, v), count in counts.items():
+            hist[v] += count
+        return _subset_sums_by_mask(hist)
+
+
+def swbp_family(n: int, t: int, budget_bits: Optional[int] = None) -> MaskFamily:
+    """Accepting-set labelings of the canonical de Bruijn program.
+
+    The first ``budget_bits`` positions in :func:`_label_positions` order
+    (all of them by default) are toggled; positions beyond the budget stay
+    accepting, and program 0 is the all-accepting program.  Every member is
+    a window-t program (the property depends only on the transitions).
+    Refuses a budget outside 0..family_size_bits(n, t) with ParameterError,
+    and one over the cap with CapExceeded.
+    """
+    positions = _label_positions(n, t)
+    k = len(positions) if budget_bits is None else budget_bits
+    if not isinstance(k, int) or not 0 <= k <= len(positions):
+        raise ParameterError(
+            f"budget_bits {budget_bits!r} outside 0..{len(positions)} for n={n} t={t}"
+        )
+    canonical, _ = canonical_debruijn_swbp(n, t, all_accepting_labeler)
+    return MaskFamily(canonical, tuple(positions[:k]))
+
+
+def concat_families(families: Sequence[MaskFamily]) -> MaskFamily:
+    """The family of :func:`bp.concat` tuples, one member of each family.
+
+    Its base is the concat of the bases and its positions are theirs, moved
+    to their block; so the bits of family i's mask follow those of family
+    i - 1, the first family's lowest.
+    """
+    positions: List[Tuple[int, int]] = []
+    offset = 0
+    for fam in families:
+        positions += [(offset + layer, state) for layer, state in fam.positions]
+        offset += fam.base.n
+    return MaskFamily(concat([fam.base for fam in families]), tuple(positions))
+
+
 def enumerate_swbp_family(
     n: int, t: int, budget_bits: Optional[int] = None
 ) -> Iterator[LayeredProgram]:
-    """All accepting-set labelings of the canonical de Bruijn program.
-
-    Labelings toggle the first 2**budget_bits positions in
-    :func:`_label_positions` order; positions beyond the budget stay
-    accepting.  With no budget the full family is enumerated.  Either way
-    it refuses via CapExceeded when the family exceeds the default cap.
-    Mask 0 is always the all-accepting program.  Every emitted program is a
-    window-t program (the property depends only on the transitions).
-    """
-    positions = _label_positions(n, t)
-    k = len(positions) if budget_bits is None else min(budget_bits, len(positions))
-    if k > DEFAULT_CAP_BITS:
-        raise CapExceeded(f"family has 2**{k} labelings (cap {DEFAULT_CAP_BITS} bits)", k)
-    canonical, _ = canonical_debruijn_swbp(n, t, all_accepting_labeler)
-    base_acc = [set(a) for a in canonical.acc]
-    for mask in range(1 << k):
-        acc = [set(a) for a in base_acc]
-        for idx in range(k):
-            if (mask >> idx) & 1:
-                layer, state = positions[idx]
-                acc[layer - 1].discard(state)
-        yield LayeredProgram(
-            canonical.n, canonical.w, canonical.q0, canonical.trans,
-            tuple(frozenset(a) for a in acc),
-        )
+    """Every program of :func:`swbp_family` in mask order, each built on
+    its own."""
+    family = swbp_family(n, t, budget_bits)
+    for mask in range(len(family)):
+        yield family.program(mask)
 
 
 def sample_swbp(rng: random.Random, n: int, t: int) -> LayeredProgram:
@@ -166,6 +285,52 @@ def sample_swbp(rng: random.Random, n: int, t: int) -> LayeredProgram:
 
 # --- reports ----------------------------------------------------------------------
 
+Programs = Union[MaskFamily, Sequence[Union[MaskFamily, LayeredProgram]]]
+
+
+@dataclass
+class _Counts:
+    """Seed and uniform acceptance counts of every program, in program order."""
+
+    families: List[MaskFamily]
+    seed: List[int]
+    uniform: List[int]
+    work: Dict[str, int]
+
+    def program(self, index: int) -> LayeredProgram:
+        for family in self.families:
+            if index < len(family):
+                return family.program(index)
+            index -= len(family)
+        raise IndexError(index)
+
+
+def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
+    """Expand ``g`` once and count, for every program, the seeds and the
+    uniform inputs it accepts, one family at a time.
+
+    ``programs`` is a family, or a sequence of families and single programs
+    whose programs are numbered one after another.
+    """
+    if isinstance(programs, MaskFamily):
+        programs = [programs]
+    families = [f if isinstance(f, MaskFamily) else MaskFamily(f) for f in programs]
+    for family in families:
+        if g.flat_bits != family.base.n:
+            raise ShapeError(f"generator emits {g.flat_bits} bits, program reads {family.base.n}")
+    outputs = g.expand_all(cap_seeds)
+    seed: List[int] = []
+    uniform: List[int] = []
+    for family in families:
+        seed += family.accept_counts(outputs).tolist()
+        uniform += family.uniform_counts().tolist()
+    work = {
+        "seeds_expanded": len(outputs),
+        "seed_layer_evals": len(outputs) * g.flat_bits * len(families),
+        "programs_counted": len(seed),
+    }
+    return _Counts(families, seed, uniform, work)
+
 
 @dataclass
 class FoolingReport:
@@ -181,6 +346,7 @@ class FoolingReport:
     passed: bool = True
     wall_seconds: float = 0.0
     rows: List[Tuple[int, str]] = field(default_factory=list)
+    work: Dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -193,7 +359,7 @@ class FoolingReport:
             "programs_checked": self.programs_checked,
             "seeds_enumerated": self.seeds_enumerated,
             "passed": self.passed,
-            "metadata": {"wall_seconds": self.wall_seconds},
+            "metadata": {"wall_seconds": self.wall_seconds, **self.work},
         }
 
     def to_csv(self) -> str:
@@ -204,31 +370,29 @@ class FoolingReport:
 
 def run_fooling_report(
     g,
-    programs: Sequence[LayeredProgram],
+    programs: Programs,
     eps_budget: Fraction,
     generator_id: str = "generator",
     family: str = "family",
     cap_seeds: int = DEFAULT_CAP_BITS,
-    jobs: int = 1,
 ) -> FoolingReport:
-    """Exact fooling error of every program, on ``jobs`` threads.
-
-    The generator is expanded once, before the threads start; they all read
-    its cached table.
-    """
+    """Exact fooling error of every program; the worst is the first program
+    with the largest error."""
     start = time.monotonic()
     report = FoolingReport(generator_id, family, eps_budget)
-    g.expand_all(cap_seeds)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        errors = list(pool.map(lambda p: fooling_error(g, p, cap_seeds), programs))
-    for i, err in enumerate(errors):
-        report.rows.append((i, str(err)))
-        if err > report.worst_error or report.worst_program is None:
-            report.worst_error = err
-            report.worst_program = program_to_json(programs[i])
-    report.programs_checked = len(errors)
+    counts = _count(g, programs, cap_seeds)
+    n, d = g.flat_bits, g.d
+    # |a / 2**d - b / 2**n| over the common denominator 2**(n + d)
+    diffs = [abs((a << n) - (b << d)) for a, b in zip(counts.seed, counts.uniform)]
+    report.rows = [(i, str(Fraction(diff, 1 << (n + d)))) for i, diff in enumerate(diffs)]
+    if diffs:
+        worst = diffs.index(max(diffs))
+        report.worst_error = Fraction(diffs[worst], 1 << (n + d))
+        report.worst_program = program_to_json(counts.program(worst))
+    report.programs_checked = len(diffs)
     report.seeds_enumerated = 1 << g.d
     report.passed = report.worst_error <= eps_budget
+    report.work = counts.work
     report.wall_seconds = time.monotonic() - start
     return report
 
@@ -243,6 +407,7 @@ class HittingReport:
     missed: List[int] = field(default_factory=list)
     passed: bool = True
     wall_seconds: float = 0.0
+    work: Dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -254,13 +419,13 @@ class HittingReport:
             "witness_required": self.required,
             "missed_program_indices": self.missed,
             "passed": self.passed,
-            "metadata": {"wall_seconds": self.wall_seconds},
+            "metadata": {"wall_seconds": self.wall_seconds, **self.work},
         }
 
 
 def run_hitting_report(
     h,
-    programs: Sequence[LayeredProgram],
+    programs: Programs,
     generator_id: str = "hsg",
     family: str = "family",
     cap_seeds: int = DEFAULT_CAP_BITS,
@@ -270,13 +435,16 @@ def run_hitting_report(
     a witness seed."""
     start = time.monotonic()
     report = HittingReport(generator_id, family, h.eps_budget)
-    for i, p in enumerate(programs):
-        report.programs_checked += 1
-        p_acc = acceptance_probability(p)
-        if p_acc >= h.eps_budget and p_acc > 0:
+    counts = _count(h, programs, cap_seeds)
+    threshold, n = h.eps_budget, h.flat_bits
+    for i, (hits, accepted) in enumerate(zip(counts.seed, counts.uniform)):
+        # accepted / 2**n >= threshold, in integers
+        if accepted > 0 and accepted * threshold.denominator >= threshold.numerator << n:
             report.required += 1
-            if hitting_check(h, p, cap_seeds) is None:
+            if hits == 0:
                 report.missed.append(i)
+    report.programs_checked = len(counts.seed)
     report.passed = not report.missed
+    report.work = counts.work
     report.wall_seconds = time.monotonic() - start
     return report

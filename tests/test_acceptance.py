@@ -37,12 +37,15 @@ from swprg.generators import (
 )
 from swprg.hsg import build_swbp_hsg, hsg_exhaustive
 from swprg.lab import (
+    MaskFamily,
     acceptance_probability_bruteforce,
     batch_evaluate,
-    enumerate_swbp_family,
+    concat_families,
     fooling_error,
+    run_fooling_report,
     run_hitting_report,
     sample_swbp,
+    swbp_family,
 )
 from swprg.paca import (
     build_c1,
@@ -189,15 +192,12 @@ def test_criterion_3_window_roundtrip_and_mutants():
 def test_criterion_4_zero_error_closure():
     start = time.monotonic()
     base = base_exhaustive(2)
-    family = list(enumerate_swbp_family(8, 2, budget_bits=12))
+    family = swbp_family(8, 2, budget_bits=12)
     worst = Fraction(0)
     for strategy in ("inw", "rect"):
         g = build_swbp_prg(8, 2, 4, base, strategy)
         assert g.eps_budget == 0
-        outs = g.expand_all()
-        for p in family:
-            gen_acc = Fraction(int(batch_evaluate(p, outs).sum()), 1 << g.d)
-            worst = max(worst, abs(gen_acc - acceptance_probability(p)))
+        worst = max(worst, run_fooling_report(g, family, g.eps_budget).worst_error)
     elapsed = time.monotonic() - start
     report(
         4, worst == 0,
@@ -206,24 +206,20 @@ def test_criterion_4_zero_error_closure():
     )
 
 
-def _shift_start_family(budget_bits):
-    """De Bruijn shift programs (n=4, t=2) from every initial state, with
-    accepting labelings of the last `budget_bits` positions (layer 4 down)."""
+def _shift_start_families(budget_bits):
+    """De Bruijn shift programs (n=4, t=2) from every initial state, one
+    family each, toggling the last `budget_bits` positions (layer 4 down)."""
     canon, _ = canonical_debruijn_swbp(4, 2, all_accepting_labeler)
     positions = [(layer, s) for layer in range(4, 1, -1) for s in range(4)]
-    positions = positions[:budget_bits]
-    out = []
-    for q0 in range(4):
-        for mask in range(1 << len(positions)):
-            acc = [set(range(4)) for _ in range(4)]
-            for idx, (layer, s) in enumerate(positions):
-                if (mask >> idx) & 1:
-                    acc[layer - 1].discard(s)
-            out.append(
-                LayeredProgram(4, 4, q0, canon.trans,
-                               tuple(frozenset(a) for a in acc))
-            )
-    return out
+    full = tuple(frozenset(range(4)) for _ in range(4))
+    return [
+        MaskFamily(LayeredProgram(4, 4, q0, canon.trans, full), tuple(positions[:budget_bits]))
+        for q0 in range(4)
+    ]
+
+
+def _worst_error(g, programs):
+    return run_fooling_report(g, programs, Fraction(0), cap_seeds=g.d).worst_error
 
 
 def test_criterion_5_lemma_constants():
@@ -233,64 +229,46 @@ def test_criterion_5_lemma_constants():
     # measured base error over the full n=4 t=2 labeling family plus the
     # shift family from every initial state (covers the cross-sections of
     # the longer programs below)
-    base_family = list(enumerate_swbp_family(4, 2))
-    base_family += _shift_start_family(12)
-    eps_hat = max(fooling_error(nb, p) for p in base_family)
+    base_families = [swbp_family(4, 2)] + _shift_start_families(12)
+    eps_hat = _worst_error(nb, base_families)
     assert eps_hat == Fraction(1, 8)  # [frozen] full-seed/full-family measurement
+    base_programs = sum(len(f) for f in base_families)
 
-    lines = [f"eps_hat = {eps_hat} over {len(base_family)} base programs"]
+    lines = [f"eps_hat = {eps_hat} over {base_programs} base programs"]
     ok = True
 
     # (a) one inw level, perfect extractor: simultaneous <= 3 * max(eps_hat, 0)
     st1 = inw_stretch(nb, perfect_extractor(nb.d))
-    pair_family = list(enumerate_swbp_family(4, 2, budget_bits=6))
-    worst_pair = max(
-        fooling_error(st1, concat([p1, p2]))
-        for p1 in pair_family
-        for p2 in pair_family
-    )
+    pair_family = swbp_family(4, 2, budget_bits=6)
+    worst_pair = _worst_error(st1, concat_families([pair_family] * 2))
     ok &= worst_pair <= 3 * eps_hat
     lines.append(f"inw r=1 simultaneous {worst_pair} <= {3 * eps_hat}")
 
     # (b) two inw levels (d = 20): 4-tuples <= 3**2 * eps_hat
     st2 = inw_stretch(st1, perfect_extractor(st1.d))
-    quad_family = list(enumerate_swbp_family(4, 2, budget_bits=3))
-    outs = st2.expand_all(cap=st2.d)
-    mask = np.uint64(15)
-    accept = {
-        (pi, blk): batch_evaluate(p, (outs >> np.uint64(4 * blk)) & mask)
-        for pi, p in enumerate(quad_family)
-        for blk in range(4)
-    }
-    probs = [acceptance_probability(p) for p in quad_family]
-    worst_quad = Fraction(0)
-    denom = 1 << st2.d
-    for combo in itertools.product(range(len(quad_family)), repeat=4):
-        alive = accept[(combo[0], 0)] & accept[(combo[1], 1)]
-        alive = alive & accept[(combo[2], 2)] & accept[(combo[3], 3)]
-        joint = Fraction(int(alive.sum()), denom)
-        product = probs[combo[0]] * probs[combo[1]] * probs[combo[2]] * probs[combo[3]]
-        worst_quad = max(worst_quad, abs(joint - product))
+    quad_family = swbp_family(4, 2, budget_bits=3)
+    quads = run_fooling_report(
+        st2, concat_families([quad_family] * 4), 9 * eps_hat, cap_seeds=st2.d
+    )
+    worst_quad = quads.worst_error
     ok &= worst_quad <= 9 * eps_hat
     lines.append(f"inw r=2 simultaneous {worst_quad} <= {9 * eps_hat}")
-    # spot-check the vectorized sweep against the library oracle
-    spot = fooling_error(st2, concat([quad_family[1]] * 4), cap_seeds=st2.d)
-    a1 = accept[(1, 0)] & accept[(1, 1)] & accept[(1, 2)] & accept[(1, 3)]
-    assert spot == abs(Fraction(int(a1.sum()), denom) - probs[1] ** 4)
+    # spot-check the family count against the library oracle: member 1 of
+    # every block is program 0b001001001001 of the tuple family
+    spot = fooling_error(st2, concat([quad_family.program(1)] * 4), cap_seeds=st2.d)
+    assert quads.rows[0b001001001001] == (0b001001001001, str(spot))
 
     # (c) rect_compose at r in {2, 4}: <= r * eps_hat + eps_cr
     for r, n, budget in ((2, 8, 12), (4, 16, 8)):
         g = rect_compose(nb, ExhaustiveRectangle(r, nb.d))
-        fam = list(enumerate_swbp_family(n, 2, budget_bits=budget))
-        worst = max(fooling_error(g, p, cap_seeds=g.d) for p in fam)
+        worst = _worst_error(g, swbp_family(n, 2, budget_bits=budget))
         ok &= worst <= r * eps_hat
         lines.append(f"rect r={r} fooling {worst} <= {r * eps_hat}")
 
     # (d) interleave: <= 2 * component budget
     half = rect_compose(nb, ExhaustiveRectangle(2, nb.d))
     gi = interleave(half, half)
-    fam16 = list(enumerate_swbp_family(16, 2, budget_bits=8))
-    worst_i = max(fooling_error(gi, p, cap_seeds=gi.d) for p in fam16)
+    worst_i = _worst_error(gi, swbp_family(16, 2, budget_bits=8))
     ok &= worst_i <= 2 * (2 * eps_hat)
     lines.append(f"interleave fooling {worst_i} <= {2 * 2 * eps_hat}")
 
@@ -301,8 +279,7 @@ def test_criterion_5_lemma_constants():
 def test_criterion_6_hitting_soundness():
     start = time.monotonic()
     h = build_swbp_hsg(8, 2, 4, hsg_exhaustive(2))
-    family = list(enumerate_swbp_family(8, 2, budget_bits=12))
-    rep = run_hitting_report(h, family)
+    rep = run_hitting_report(h, swbp_family(8, 2, budget_bits=12))
     elapsed = time.monotonic() - start
     report(
         6, rep.passed,

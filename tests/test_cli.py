@@ -53,6 +53,18 @@ def test_verify_fool_family_budget_over_cap(tmp_path):
     assert code == EXIT_CAP
 
 
+@pytest.mark.parametrize("budget_bits", [20, -1])
+def test_verify_fool_family_budget_out_of_range(tmp_path, budget_bits):
+    # n = 4, t = 2 has 14 labeling positions
+    config = {
+        "generator": generators.base_exhaustive(4).to_json(),
+        "family": {"n": 4, "t": 2, "budget_bits": budget_bits},
+    }
+    code, out = run(tmp_path, "verify-fool", config)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_verify_fool_exhaustive_passes(tmp_path):
     g = generators.base_exhaustive(4)
     config = {
@@ -65,6 +77,9 @@ def test_verify_fool_exhaustive_passes(tmp_path):
     payload = json.loads((out / "fooling.json").read_text())
     assert payload["worst_error"] == "0"
     assert (out / "fooling.csv").exists()
+    work = {key: payload["metadata"][key]
+            for key in ("seeds_expanded", "seed_layer_evals", "programs_counted")}
+    assert work == {"seeds_expanded": 16, "seed_layer_evals": 16 * 4, "programs_counted": 64}
 
 
 def test_verify_fool_budget_violation(tmp_path):
@@ -83,7 +98,12 @@ def test_verify_hit(tmp_path):
     config = {"hsg": h.to_json(), "family": {"n": 8, "t": 2, "budget_bits": 5}}
     code, out = run(tmp_path, "verify-hit", config)
     assert code == EXIT_PASS
-    assert json.loads((out / "hitting.json").read_text())["passed"]
+    payload = json.loads((out / "hitting.json").read_text())
+    assert payload["passed"]
+    work = {key: payload["metadata"][key]
+            for key in ("seeds_expanded", "seed_layer_evals", "programs_counted")}
+    assert work == {"seeds_expanded": 1 << h.d, "seed_layer_evals": 8 << h.d,
+                    "programs_counted": 32}
 
 
 def test_window_check_certificate_and_violation(tmp_path):

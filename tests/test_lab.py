@@ -10,15 +10,20 @@ from swprg.bp import (
     LayeredProgram,
     WindowCertificate,
     acceptance_probability,
+    all_accepting_labeler,
+    canonical_debruijn_swbp,
     check_window,
     concat,
     evaluate_int,
+    program_to_json,
 )
-from swprg.errors import CapExceeded, ShapeError
+from swprg.errors import CapExceeded, ParameterError, ShapeError
 from swprg.generators import Exhaustive, base_exhaustive, base_nisan, interleave
 from swprg.lab import (
+    MaskFamily,
     acceptance_probability_bruteforce,
     batch_evaluate,
+    concat_families,
     enumerate_swbp_family,
     family_size_bits,
     fooling_error,
@@ -26,6 +31,7 @@ from swprg.lab import (
     run_fooling_report,
     run_hitting_report,
     sample_swbp,
+    swbp_family,
 )
 
 
@@ -42,6 +48,18 @@ class ConstantGen:
 
     def expand_int(self, seed):
         return self.value
+
+
+class TableGen:
+    """Outputs a fixed table of packed strings, one per seed (d = log2 of its length)."""
+
+    def __init__(self, outputs, n, threshold=Fraction(0)):
+        self.outputs = np.asarray(outputs, dtype=np.uint64)
+        self.d, self.flat_bits = len(outputs).bit_length() - 1, n
+        self.eps_budget = threshold
+
+    def expand_all(self, cap=24):
+        return self.outputs
 
 
 def and_program():
@@ -160,6 +178,17 @@ def test_family_budget_and_refusal():
     assert exc.value.required_bits == family_size_bits(8, 2)
 
 
+def test_family_budget_out_of_range_refused():
+    # n = 4, t = 2 has 14 labeling positions; 20 used to be clamped to 14
+    assert family_size_bits(4, 2) == 14
+    for budget in (20, 15, -1):
+        with pytest.raises(ParameterError):
+            swbp_family(4, 2, budget)
+        with pytest.raises(ParameterError):
+            next(enumerate_swbp_family(4, 2, budget_bits=budget))
+    assert len(swbp_family(4, 2, 14)) == 1 << 14
+
+
 def test_family_budget_over_cap_refused():
     # a budget does not lift the cap: 2**40 labelings of a 2**62 family
     with pytest.raises(CapExceeded) as exc:
@@ -181,7 +210,7 @@ def test_sample_swbp_deterministic_and_window():
 
 def test_fooling_report_and_csv():
     g = base_exhaustive(2)
-    fam = list(enumerate_swbp_family(2, 2))
+    fam = swbp_family(2, 2)
     report = run_fooling_report(g, fam, Fraction(0), "exh", "n2t2")
     assert report.passed and report.worst_error == 0
     assert report.programs_checked == len(fam)
@@ -203,8 +232,8 @@ def test_fooling_report_expands_once_on_many_threads():
             return super().expand_seeds(seeds)
 
     g = SlowExhaustive(1, 4)
-    fam = list(enumerate_swbp_family(4, 2, budget_bits=4))
-    report = run_fooling_report(g, fam, Fraction(0), jobs=2)
+    fam = swbp_family(4, 2, budget_bits=4)
+    report = run_fooling_report(g, fam, Fraction(0))
     assert report.passed and report.programs_checked == len(fam)
     assert expansions == [1 << g.d]
 
@@ -213,7 +242,81 @@ def test_hitting_report():
     from swprg.hsg import build_swbp_hsg, hsg_exhaustive
 
     h = build_swbp_hsg(8, 2, 4, hsg_exhaustive(2))
-    fam = list(enumerate_swbp_family(8, 2, budget_bits=6))
+    fam = swbp_family(8, 2, budget_bits=6)
     report = run_hitting_report(h, fam)
     assert report.passed
     assert report.required > 0
+
+
+def _shift_start_family(q0, k):
+    """The n=4, t=2 de Bruijn shift program started in ``q0``, all states
+    accepting, toggling its last ``k`` positions (layer 4 down)."""
+    canon, _ = canonical_debruijn_swbp(4, 2, all_accepting_labeler)
+    positions = [(layer, s) for layer in range(4, 1, -1) for s in range(4)][:k]
+    full = tuple(frozenset(range(4)) for _ in range(4))
+    return MaskFamily(LayeredProgram(4, 4, q0, canon.trans, full), tuple(positions))
+
+
+def test_family_counts_match_per_program_oracles():
+    rng = random.Random(61)
+    sampled = sample_swbp(rng, 6, 2)
+    reachable = sampled.reachable()
+    random_positions = tuple(
+        (layer, rng.choice(sorted(reachable[layer]))) for layer in rng.sample(range(1, 7), 6)
+    )
+    canonical = swbp_family(6, 2, 8)
+    assert [canonical.program(i) for i in range(len(canonical))] == list(
+        enumerate_swbp_family(6, 2, 8)
+    )
+    blocks = [swbp_family(3, 2, 3), swbp_family(3, 2, 2)]
+    pair = concat_families(blocks)
+    for mask in range(len(pair)):
+        members = [blocks[0].program(mask & 7), blocks[1].program(mask >> 3)]
+        assert pair.program(mask) == concat(members)
+    families = [
+        canonical,
+        *(_shift_start_family(q0, 8) for q0 in range(4)),
+        pair,
+        MaskFamily(sampled, random_positions),
+        MaskFamily(sampled),
+    ]
+    verdicts = set()
+    for fam in families:
+        n = fam.base.n
+        g = TableGen([rng.randrange(1 << n) for _ in range(4)], n, Fraction(1, 4))
+        outputs = g.expand_all()
+        seed, uniform = fam.accept_counts(outputs), fam.uniform_counts()
+        programs = [fam.program(i) for i in range(len(fam))]
+        required, missed = 0, []
+        for i, p in enumerate(programs):
+            assert seed[i] == batch_evaluate(p, outputs).sum()
+            p_acc = acceptance_probability(p)
+            assert Fraction(int(uniform[i]), 1 << n) == p_acc
+            if p_acc >= g.eps_budget and p_acc > 0:
+                required += 1
+                hit = hitting_check(g, p) is not None
+                verdicts.add(hit)
+                if not hit:
+                    missed.append(i)
+        hits = run_hitting_report(g, fam)
+        assert (hits.required, hits.missed) == (required, missed)
+        fooling = run_fooling_report(g, fam, Fraction(0))
+        errors = [fooling_error(g, p) for p in programs]
+        assert fooling.rows == [(i, str(err)) for i, err in enumerate(errors)]
+        worst = errors.index(max(errors))  # the first program with the largest error
+        assert fooling.worst_program == program_to_json(programs[worst])
+        # a list of programs is counted as one family per program
+        as_list = run_hitting_report(g, programs).to_json()
+        assert {**as_list, "metadata": 0} == {**hits.to_json(), "metadata": 0}
+    assert verdicts == {True, False}
+
+
+def test_uniform_counts_without_input_enumeration():
+    fam = swbp_family(40, 2, 4)
+    uniform = fam.uniform_counts()
+    for i in range(len(fam)):
+        assert Fraction(int(uniform[i]), 1 << 40) == acceptance_probability(fam.program(i))
+    rng = random.Random(40)
+    g = TableGen([rng.randrange(1 << 40) for _ in range(8)], 40)
+    report = run_fooling_report(g, fam, Fraction(0))
+    assert report.rows == [(i, str(fooling_error(g, fam.program(i)))) for i in range(len(fam))]
