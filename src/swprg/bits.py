@@ -31,5 +31,5 @@ def bits_to_int(bits: Iterable[int]) -> int:
 
 
 def parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 

@@ -208,18 +208,21 @@ class NisanBase(GeneratorSpec):
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         word, fam = self.word, self.hash_family
-        hbits = fam.seed_bits
-
-        def one(seed: int) -> int:
+        hbits, h_eval = fam.seed_bits, fam.eval
+        levels = range(self.levels, 0, -1)
+        out = []
+        for seed in seeds.tolist():
             # unrolled from the top level down: level k puts h_k(v) right
             # after each word v of the level above
             words = [seed & ((1 << word) - 1)]
-            for k in range(self.levels, 0, -1):
+            for k in levels:
                 h = (seed >> (word + (k - 1) * hbits)) & ((1 << hbits) - 1)
-                words = [y for v in words for y in (v, fam.eval(h, v))]
-            return sum(v << (i * word) for i, v in enumerate(words))
-
-        return np.fromiter(map(one, map(int, seeds)), dtype=np.uint64, count=len(seeds))
+                words = [y for v in words for y in (v, h_eval(h, v))]
+            flat = 0
+            for v in reversed(words):
+                flat = flat << word | v
+            out.append(flat)
+        return np.array(out, dtype=np.uint64)
 
     def to_json(self) -> dict:
         data = {
@@ -274,15 +277,15 @@ class PairwiseRectangle(GeneratorSpec):
         return self.eps_cr
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        fam, b = self.hash_family, self.block_bits
-        return np.fromiter(
-            (
-                sum(fam.eval(s, i) << (i * b) for i in range(self.blocks))
-                for s in map(int, seeds)
-            ),
-            dtype=np.uint64,
-            count=len(seeds),
-        )
+        h_eval, b = self.hash_family.eval, self.block_bits
+        blocks = range(self.blocks - 1, -1, -1)
+        out = []
+        for s in seeds.tolist():
+            flat = 0
+            for i in blocks:
+                flat = flat << b | h_eval(s, i)
+            out.append(flat)
+        return np.array(out, dtype=np.uint64)
 
     def to_json(self) -> dict:
         return {

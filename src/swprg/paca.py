@@ -64,6 +64,11 @@ class Paca:
         lists = {key: p.tolist() for key, p in planes.items()}
         return [[lists[p.tobytes()] for p in t] for t in (self.delta0, self.delta1)]
 
+    @cached_property
+    def _rejecting(self) -> List[bool]:
+        """Indexed by state or boundary: is it a state outside the accepting set?"""
+        return [s not in self.accepting for s in range(self.q)] + [False]
+
     @property
     def boundary(self) -> int:
         return self.q
@@ -240,25 +245,27 @@ def sliding_sim(c: Paca, x: Sequence[int], t_set) -> LayeredProgram:
 def accepting_steps_of_stream(c: Paca, x: Sequence[int], r: int) -> int:
     """Bitmask over steps 1..T of the steps whose configuration is
     all-accepting, running the window sweep directly on the stream ``r``
-    (bit L of r is the coin of sweep layer L).  Equivalent to evaluating
-    every S_{{s}} on r in one pass."""
+    (bit L of r is the coin of sweep layer L = j*T + tau).  Equivalent to
+    evaluating every S_{{s}} on r in one pass."""
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     b = c.boundary
+    rules, rejecting = c._rules, c._rejecting
     left = [b] * T
     center = [b] * T
-    right = b
     mask = (1 << (T + 1)) - 2  # steps 1..T assumed accepting until refuted
-    for layer in range((n + T) * T):
-        j, tau = divmod(layer, T)
-        if tau == 0:
-            right = x[j] if j < n else b
-        new = c.delta((r >> layer) & 1, left[tau], center[tau], right)
-        left[tau] = center[tau]
-        center[tau] = right
-        right = new
-        if new != b and new not in c.accepting:
-            mask &= ~(1 << (tau + 1))
+    for j in range(n + T):
+        right = x[j] if j < n else b
+        for tau in range(T):
+            cell = center[tau]
+            # the boundary rule of Paca.delta, inlined: $ stays $
+            new = b if cell == b else rules[r & 1][left[tau]][cell][right]
+            r >>= 1
+            left[tau] = cell
+            center[tau] = right
+            right = new
+            if rejecting[new]:
+                mask &= ~(2 << tau)
     return mask
 
 

@@ -28,28 +28,23 @@ class HashFamily:
     b: int
 
     @property
-    def domain(self) -> int:
-        return 1 << self.a
-
-    @property
-    def range(self) -> int:
-        return 1 << self.b
-
-    @property
     def seed_bits(self) -> int:
         return self.a * self.b + self.b
 
     def eval(self, member_seed: int, x: int) -> int:
-        if not 0 <= x < self.domain:
-            raise ShapeError(f"hash input {x} outside domain [0, {self.domain})")
-        if not 0 <= member_seed < (1 << self.seed_bits):
+        # one call per seed and block on the generator path; as x < 2**a,
+        # ``row & x`` needs no row mask
+        a, b = self.a, self.b
+        if not 0 <= x < 1 << a:
+            raise ShapeError(f"hash input {x} outside domain [0, {1 << a})")
+        if not 0 <= member_seed < 1 << (a * b + b):
             raise ShapeError("hash member seed outside description length")
-        y = 0
-        for i in range(self.b):
-            row = (member_seed >> (i * self.a)) & (self.domain - 1)
-            y |= parity(row & x) << i
-        c = member_seed >> (self.a * self.b)
-        return y ^ c
+        y = member_seed >> (a * b)
+        row = member_seed
+        for i in range(b):
+            y ^= ((row & x).bit_count() & 1) << i
+            row >>= a
+        return y
 
 
 # --- small-bias sets ----------------------------------------------------------
@@ -277,12 +272,23 @@ def flat_source(points) -> Distribution:
 
 
 def extractor_output_distribution(ext: Extractor, source: Distribution) -> Distribution:
-    """Exact output distribution of Ext(X, U_d)."""
-    out: Distribution = {}
-    seed_p = Fraction(1, 1 << ext.d)
+    """Exact output distribution of Ext(X, U_d).
+
+    For each distinct source probability, the (x, seed) pairs reaching each
+    output are counted as integers; each output's probability is one
+    ``Fraction`` over the common denominator, made at return.
+    """
+    hists: Dict[Fraction, Dict[object, int]] = {}
     for x, px in source.items():
+        hist = hists.setdefault(Fraction(px), {})
         for s in range(1 << ext.d):
             y = ext.apply(x, s)
-            out[y] = out.get(y, Fraction(0)) + px * seed_p
-    return out
+            hist[y] = hist.get(y, 0) + 1
+    denom = math.lcm(*(p.denominator for p in hists))
+    weights: Dict[object, int] = {}
+    for p, hist in hists.items():
+        scale = p.numerator * (denom // p.denominator)
+        for y, count in hist.items():
+            weights[y] = weights.get(y, 0) + scale * count
+    return {y: Fraction(wt, denom << ext.d) for y, wt in weights.items()}
 

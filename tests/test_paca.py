@@ -240,6 +240,30 @@ def test_accepting_steps_of_stream_matches_subset_programs():
             assert evaluate_int(S, r) == want
 
 
+def test_accepting_steps_of_stream_matches_stepping():
+    # stream bit i + (i+j+1)*T is the coin of cell j at step i+1; bit s of
+    # the mask (s = 1..T) says whether the step-s configuration accepts
+    rng = random.Random(47)
+    for q, T, n in product((2, 3), range(1, 5), range(1, 4)):
+        m = (n + T) * T
+        for _ in range(3):
+            c = sample_paca(rng, q, T)
+            x = tuple(rng.choice(c.sigma) for _ in range(n))
+            streams = [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(20)]
+            for r in streams:
+                config, want = x, 0
+                for i in range(T):
+                    row = [(r >> (i + (i + j + 1) * T)) & 1 for j in range(n)]
+                    config = step(c, config, row)
+                    if c.config_accepting(config):
+                        want |= 1 << (i + 1)
+                assert accepting_steps_of_stream(c, x, r) == want, (q, T, x, r)
+            with pytest.raises(ParameterError):
+                accepting_steps_of_stream(c, x[:-1] + (q,), 0)
+            with pytest.raises(ParameterError):
+                accepting_steps_of_stream(c, (), 0)
+
+
 def test_derandomize_one_sided_exhaustive_cross_check():
     rng = random.Random(29)
     builder = lambda m, thr: hsg_exhaustive(m)

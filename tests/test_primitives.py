@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +49,27 @@ def test_hash_family_marginal_uniform():
         assert len(set(counts)) == 1
 
 
+def test_hash_eval_matches_matrix_product():
+    # y = A x + c over GF(2), with A read row-major from the seed's low a*b
+    # bits and c from the rest, computed as a numpy matrix product
+    for a, b in ((1, 1), (2, 3), (3, 4), (4, 2)):
+        fam = HashFamily(a, b)
+        seeds = np.arange(1 << fam.seed_bits, dtype=np.int64)
+        A = ((seeds[:, None] >> np.arange(a * b)) & 1).reshape(-1, b, a)
+        xs = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
+        ys = (A @ xs.T) % 2 ^ ((seeds[:, None] >> (a * b + np.arange(b))) & 1)[:, :, None]
+        want = (ys << np.arange(b)[None, :, None]).sum(axis=1)
+        got = [[fam.eval(s, x) for x in range(1 << a)] for s in range(1 << fam.seed_bits)]
+        assert np.array_equal(np.array(got), want), (a, b)
+
+
+def test_hash_eval_refuses_out_of_range():
+    fam = HashFamily(3, 2)
+    for seed, x in ((0, -1), (0, 1 << 3), (-1, 0), (1 << fam.seed_bits, 0)):
+        with pytest.raises(ShapeError):
+            fam.eval(seed, x)
+
+
 def test_gf_mul_field_axioms():
     for ell in (2, 3, 4):
         size = 1 << ell
@@ -91,6 +113,20 @@ def test_perfect_extractor_is_exact():
     src = flat_source([3, 7, 9])
     out = extractor_output_distribution(ext, src)
     assert statistical_distance(out, uniform_distribution(4)) == 0
+
+
+def test_output_distribution_of_a_non_flat_source():
+    # three distinct source probabilities against Fraction-weighted sums
+    ext = cayley_extractor_from_set(4, 1, aghp_set(4, 2))
+    source = {0: Fraction(1, 2), 5: Fraction(1, 3), 9: Fraction(1, 12), 14: Fraction(1, 12)}
+    want = {}
+    for x, px in source.items():
+        for s in range(1 << ext.d):
+            y = ext.apply(x, s)
+            want[y] = want.get(y, Fraction(0)) + px / (1 << ext.d)
+    got = extractor_output_distribution(ext, source)
+    assert got == want and sum(got.values()) == 1
+    assert extractor_output_distribution(ext, {}) == {}
 
 
 def test_cayley_extractor_bound_over_all_affine_sources():
