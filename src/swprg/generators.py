@@ -210,8 +210,8 @@ class NisanBase(GeneratorSpec):
         word, fam = self.word, self.hash_family
         hbits, h_eval = fam.seed_bits, fam.eval
         levels = range(self.levels, 0, -1)
-        out = []
-        for seed in seeds.tolist():
+        out = np.empty(len(seeds), dtype=np.uint64)
+        for idx, seed in enumerate(map(int, seeds)):
             # unrolled from the top level down: level k puts h_k(v) right
             # after each word v of the level above
             words = [seed & ((1 << word) - 1)]
@@ -221,8 +221,8 @@ class NisanBase(GeneratorSpec):
             flat = 0
             for v in reversed(words):
                 flat = flat << word | v
-            out.append(flat)
-        return np.array(out, dtype=np.uint64)
+            out[idx] = flat
+        return out
 
     def to_json(self) -> dict:
         data = {
@@ -279,13 +279,13 @@ class PairwiseRectangle(GeneratorSpec):
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         h_eval, b = self.hash_family.eval, self.block_bits
         blocks = range(self.blocks - 1, -1, -1)
-        out = []
-        for s in seeds.tolist():
+        out = np.empty(len(seeds), dtype=np.uint64)
+        for idx, s in enumerate(map(int, seeds)):
             flat = 0
             for i in blocks:
                 flat = flat << b | h_eval(s, i)
-            out.append(flat)
-        return np.array(out, dtype=np.uint64)
+            out[idx] = flat
+        return out
 
     def to_json(self) -> dict:
         return {
