@@ -17,12 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .bits import BitString, int_to_bits
+from .bits import BitString
 from .errors import ParameterError, ShapeError
-
-Labeler = Callable[[int, BitString], bool]
 
 
 @dataclass(frozen=True)
@@ -53,10 +51,6 @@ class LayeredProgram:
             if not a <= frozenset(range(self.w)):
                 raise ParameterError(f"layer {i + 1} accepting set leaves the state set")
 
-    def step(self, layer: int, q: int, bit: int) -> int:
-        """Apply the transition of layer ``layer`` (1-based) to state ``q``."""
-        return self.trans[layer - 1][q][bit]
-
     def run_word(self, layer: int, q: int, word: Sequence[int]) -> int:
         """Extended transition: feed ``word`` starting at layer ``layer + 1``,
         from state ``q`` in layer ``layer``."""
@@ -76,26 +70,17 @@ class LayeredProgram:
         return tuple(sets)
 
 
-class EvalResult(NamedTuple):
-    accept: bool
-    trace: Tuple[int, ...]
-
-
-def evaluate(p: LayeredProgram, x: Sequence[int]) -> EvalResult:
+def evaluate(p: LayeredProgram, x: Sequence[int]) -> bool:
     """Run ``p`` on ``x``; accept iff every visited state (after each
-    non-empty prefix) is accepting in its layer.  Returns the full trace
-    q0..qn reached regardless of acceptance."""
+    non-empty prefix) is accepting in its layer."""
     if len(x) != p.n:
         raise ShapeError(f"input has length {len(x)}, program expects {p.n}")
     q = p.q0
-    trace = [q]
-    ok = True
     for i, b in enumerate(x):
         q = p.trans[i][q][b]
-        trace.append(q)
         if q not in p.acc[i]:
-            ok = False
-    return EvalResult(ok, tuple(trace))
+            return False
+    return True
 
 
 def evaluate_int(p: LayeredProgram, x: int) -> bool:
@@ -162,9 +147,6 @@ class WindowCertificate:
 
     t: int
     alphas: Tuple[Tuple[int, ...], ...]
-
-    def k(self, i: int) -> int:
-        return min(i, self.t)
 
 
 @dataclass(frozen=True)
@@ -273,37 +255,25 @@ def certificate_is_valid(p: LayeredProgram, cert: WindowCertificate) -> bool:
 # --- canonical de Bruijn construction ----------------------------------------
 
 
-def canonical_debruijn_swbp(
-    n: int, t: int, labeler: Labeler
-) -> Tuple[LayeredProgram, WindowCertificate]:
-    """The prototypical window-``t`` program.
+def canonical_debruijn_swbp(n: int, t: int) -> Tuple[LayeredProgram, WindowCertificate]:
+    """The prototypical window-``t`` program, every reachable state accepting.
 
     Layer ``i`` states are the words of length ``min(i, t)``, packed
     MSB-first into ints (the prefix tree for i < t, then the de Bruijn shift
     ``xw -> wy``).  One shared transition table ``q -> (2q + y) mod 2**t``
-    realizes both regimes.  ``labeler(layer, word)`` decides which window
-    words are accepting at each layer 1..n.
+    realizes both regimes.  Labelings come from :func:`relabel` or
+    ``lab.MaskFamily``.
     """
     if t < 1 or t > n:
         raise ParameterError(f"window size {t} out of range 1..{n}")
     w = 1 << t
     table = tuple((((q << 1) & (w - 1), ((q << 1) | 1) & (w - 1)) for q in range(w)))
     trans = tuple(table for _ in range(n))
-    acc = []
-    for i in range(1, n + 1):
-        k = min(i, t)
-        layer_acc = frozenset(
-            wv for wv in range(1 << k) if labeler(i, _word_from_msb_index(wv, k))
-        )
-        acc.append(layer_acc)
-    prog = LayeredProgram(n, w, 0, trans, tuple(acc))
+    acc = tuple(frozenset(range(1 << min(i, t))) for i in range(1, n + 1))
+    prog = LayeredProgram(n, w, 0, trans, acc)
     cert = build_certificate(prog, t)
     assert cert is not None
     return prog, cert
-
-
-def all_accepting_labeler(layer: int, word: BitString) -> bool:
-    return True
 
 
 # --- quotients ----------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,11 +63,6 @@ class GeneratorSpec:
         if len(seed) != self.d:
             raise ShapeError(f"seed has {len(seed)} bits, generator expects {self.d}")
         return int_to_bits(self.expand_int(bits_to_int(seed)), self.flat_bits)
-
-    def expand_blocks(self, seed: BitString) -> Tuple[BitString, ...]:
-        flat = self.expand(seed)
-        t = self.block_bits
-        return tuple(flat[i * t : (i + 1) * t] for i in range(self.blocks))
 
     def expand_all(self, cap: int = DEFAULT_CAP_BITS) -> np.ndarray:
         """Outputs for every seed, as packed uint64, seed order.

@@ -22,7 +22,6 @@ from .bp import (
     LayeredProgram,
     acceptance_probability,
     canonical_debruijn_swbp,
-    all_accepting_labeler,
     concat,
     program_to_json,
     quotient_swbp,
@@ -41,10 +40,12 @@ def program_tables(p: LayeredProgram) -> Tuple[np.ndarray, np.ndarray]:
     return trans, acc
 
 
-def _states(p: LayeredProgram, inputs: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+def _states(
+    p: LayeredProgram, trans: np.ndarray, inputs: np.ndarray
+) -> Iterator[Tuple[int, np.ndarray]]:
     """Layer index i and the state after layer i + 1, for every packed input
-    (LSB = first bit), one layer at a time."""
-    luts = program_tables(p)[0].reshape(p.n, -1)  # flat per-layer lookup on state*2 + bit
+    (LSB = first bit), one layer at a time; ``trans`` is ``p``'s dense table."""
+    luts = trans.reshape(p.n, -1)  # flat per-layer lookup on state*2 + bit
     state = np.full(len(inputs), p.q0, dtype=np.intp)
     inputs = inputs.astype(np.uint64, copy=False)
     for i in range(p.n):
@@ -55,20 +56,18 @@ def _states(p: LayeredProgram, inputs: np.ndarray) -> Iterator[Tuple[int, np.nda
 
 def batch_evaluate(p: LayeredProgram, inputs: np.ndarray) -> np.ndarray:
     """Acceptance of ``p`` on an array of packed inputs (LSB = first bit)."""
-    acc = program_tables(p)[1]
+    trans, acc = program_tables(p)
     alive = np.ones(len(inputs), dtype=bool)
-    for i, state in _states(p, inputs):
+    for i, state in _states(p, trans, inputs):
         alive &= acc[i][state]
     return alive
 
 
-def acceptance_probability_bruteforce(
-    p: LayeredProgram, cap_inputs: int = DEFAULT_CAP_BITS
-) -> Fraction:
+def acceptance_probability_bruteforce(p: LayeredProgram) -> Fraction:
     """Second oracle: enumerate every input instead of running the DP."""
-    if p.n > cap_inputs:
+    if p.n > DEFAULT_CAP_BITS:
         raise CapExceeded(
-            f"input enumeration needs 2**{p.n} evaluations (cap {cap_inputs})", p.n
+            f"input enumeration needs 2**{p.n} evaluations (cap {DEFAULT_CAP_BITS})", p.n
         )
     inputs = np.arange(1 << p.n, dtype=np.uint64)
     return Fraction(int(batch_evaluate(p, inputs).sum()), 1 << p.n)
@@ -77,30 +76,25 @@ def acceptance_probability_bruteforce(
 # --- fooling ---------------------------------------------------------------------
 
 
-def generator_acceptance(g, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Fraction:
-    """Pr over seeds that ``p`` accepts the generator output.  Exact."""
-    if g.flat_bits != p.n:
-        raise ShapeError(f"generator emits {g.flat_bits} bits, program reads {p.n}")
-    outs = g.expand_all(cap_seeds)
-    return Fraction(int(batch_evaluate(p, outs).sum()), 1 << g.d)
-
-
 def fooling_error(g, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Fraction:
     """|Pr[p(G(U_d))=1] - Pr[p(U_n)=1]|, exact by full seed enumeration.
 
     For a tuple of programs, one per block, pass ``bp.concat(programs)``.
     """
-    return abs(generator_acceptance(g, p, cap_seeds) - acceptance_probability(p))
+    if g.flat_bits != p.n:
+        raise ShapeError(f"generator emits {g.flat_bits} bits, program reads {p.n}")
+    accepted = int(batch_evaluate(p, g.expand_all(cap_seeds)).sum())
+    return abs(Fraction(accepted, 1 << g.d) - acceptance_probability(p))
 
 
 # --- hitting ---------------------------------------------------------------------
 
 
-def hitting_check(h, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Optional[int]:
+def hitting_check(h, p: LayeredProgram) -> Optional[int]:
     """First seed (in seed order) whose expansion ``p`` accepts, or None."""
     if h.flat_bits != p.n:
         raise ShapeError(f"generator emits {h.flat_bits} bits, program reads {p.n}")
-    accepted = batch_evaluate(p, h.expand_all(cap_seeds))
+    accepted = batch_evaluate(p, h.expand_all(DEFAULT_CAP_BITS))
     idx = np.flatnonzero(accepted)
     return int(idx[0]) if len(idx) else None
 
@@ -186,11 +180,11 @@ class MaskFamily:
 
     def accept_counts(self, outputs: np.ndarray) -> np.ndarray:
         """How many of the packed ``outputs`` each program accepts, by mask."""
-        acc = program_tables(self.base)[1]
+        trans, acc = program_tables(self.base)
         bits = np.array(self._visit_bits(), dtype=np.int64)
         alive = np.ones(len(outputs), dtype=bool)
         visits = np.zeros(len(outputs), dtype=np.int64)
-        for i, state in _states(self.base, outputs):
+        for i, state in _states(self.base, trans, outputs):
             alive &= acc[i][state]
             if bits[i].any():
                 visits |= bits[i][state]
@@ -235,7 +229,7 @@ def swbp_family(n: int, t: int, budget_bits: Optional[int] = None) -> MaskFamily
         raise ParameterError(
             f"budget_bits {budget_bits!r} outside 0..{len(positions)} for n={n} t={t}"
         )
-    canonical, _ = canonical_debruijn_swbp(n, t, all_accepting_labeler)
+    canonical, _ = canonical_debruijn_swbp(n, t)
     return MaskFamily(canonical, tuple(positions[:k]))
 
 
@@ -267,7 +261,7 @@ def enumerate_swbp_family(
 def sample_swbp(rng: random.Random, n: int, t: int) -> LayeredProgram:
     """A seeded random quotient of the canonical program with a random
     accepting labeling.  Deterministic given the rng state."""
-    canonical, _ = canonical_debruijn_swbp(n, t, all_accepting_labeler)
+    canonical, _ = canonical_debruijn_swbp(n, t)
     merge: List[List[List[int]]] = []
     for layer in range(n + 1):
         k = min(layer, t)

@@ -65,6 +65,11 @@ class Paca:
         return [[lists[p.tobytes()] for p in t] for t in (self.delta0, self.delta1)]
 
     @cached_property
+    def _alphabet(self) -> FrozenSet[int]:
+        """The input alphabet as a set, built once for :func:`_check_input`."""
+        return frozenset(self.sigma)
+
+    @cached_property
     def _rejecting(self) -> List[bool]:
         """Indexed by state or boundary: is it a state outside the accepting set?"""
         return [s not in self.accepting for s in range(self.q)] + [False]
@@ -115,7 +120,7 @@ def _check_input(c: Paca, x: Sequence[int]) -> Tuple[int, ...]:
     x = tuple(x)
     if not x:
         raise ParameterError("empty input")
-    if not set(x) <= set(c.sigma):
+    if not c._alphabet.issuperset(x):
         raise ParameterError("input symbol outside the alphabet")
     return x
 
@@ -151,16 +156,14 @@ def exact_accept_probability(c: Paca, x: Sequence[int]) -> Fraction:
     return 1 - Fraction(counts.get(0, 0), 1 << bits)
 
 
-def accept_probability_bruteforce(
-    c: Paca, x: Sequence[int], cap_bits: int = 22
-) -> Fraction:
-    """Second oracle: enumerate all 2**(T*n) coin matrices."""
+def accept_probability_bruteforce(c: Paca, x: Sequence[int]) -> Fraction:
+    """Second oracle: enumerate all 2**(T*n) coin matrices, at most 2**22."""
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     total_bits = T * n
-    if total_bits > cap_bits:
+    if total_bits > 22:
         raise CapExceeded(
-            f"matrix enumeration needs 2**{total_bits} runs (cap {cap_bits})",
+            f"matrix enumeration needs 2**{total_bits} runs (cap 22)",
             total_bits,
         )
     count = 0
@@ -272,12 +275,12 @@ def accepting_steps_of_stream(c: Paca, x: Sequence[int], r: int) -> int:
 # --- derandomizers --------------------------------------------------------------------
 
 
-HsgBuilder = Callable[[int, Fraction], object]
-PrgBuilder = Callable[[int, Fraction], object]
+# (stream bits m, error or threshold) -> generator or HSG emitting m bits
+Builder = Callable[[int, Fraction], object]
 
 
 def derandomize_one_sided(
-    c: Paca, x: Sequence[int], eps: Fraction, hsg_builder: HsgBuilder,
+    c: Paca, x: Sequence[int], eps: Fraction, hsg_builder: Builder,
     cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> bool:
     """Deterministic decision for a one-sided eps-error PACA.
@@ -303,7 +306,7 @@ class TwoSidedResult(NamedTuple):
 
 
 def derandomize_two_sided(
-    c: Paca, x: Sequence[int], eps: Fraction, prg_builder: PrgBuilder,
+    c: Paca, x: Sequence[int], eps: Fraction, prg_builder: Builder,
     cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> TwoSidedResult:
     """Inclusion-exclusion estimate of the acceptance probability.

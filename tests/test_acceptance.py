@@ -18,7 +18,6 @@ from swprg.bp import (
     WindowCertificate,
     WindowViolation,
     acceptance_probability,
-    all_accepting_labeler,
     build_certificate,
     canonical_debruijn_swbp,
     certificate_is_valid,
@@ -143,7 +142,7 @@ def test_criterion_3_window_roundtrip_and_mutants():
             if isinstance(check_window(p, t), WindowCertificate):
                 sampled_ok += 1
     # single transition-entry mutants of the canonical program
-    canon, _ = canonical_debruijn_swbp(6, 2, all_accepting_labeler)
+    canon, _ = canonical_debruijn_swbp(6, 2)
     mutants = violating = caught = agree = validated = 0
     for layer in range(6):
         for q in range(4):
@@ -209,7 +208,7 @@ def test_criterion_4_zero_error_closure():
 def _shift_start_families(budget_bits):
     """De Bruijn shift programs (n=4, t=2) from every initial state, one
     family each, toggling the last `budget_bits` positions (layer 4 down)."""
-    canon, _ = canonical_debruijn_swbp(4, 2, all_accepting_labeler)
+    canon, _ = canonical_debruijn_swbp(4, 2)
     positions = [(layer, s) for layer in range(4, 1, -1) for s in range(4)]
     full = tuple(frozenset(range(4)) for _ in range(4))
     return [

@@ -11,7 +11,6 @@ from swprg.bp import (
     WindowCertificate,
     WindowViolation,
     acceptance_probability,
-    all_accepting_labeler,
     build_certificate,
     canonical_debruijn_swbp,
     certificate_is_valid,
@@ -45,9 +44,9 @@ def test_bits_inverse(v):
 
 def test_evaluate_and_program():
     p = and_program()
-    assert evaluate(p, (1, 1)).accept
+    assert evaluate(p, (1, 1)) is True
     for x in ((0, 0), (0, 1), (1, 0)):
-        assert not evaluate(p, x).accept
+        assert evaluate(p, x) is False
     assert evaluate_int(p, 0b11)
     assert acceptance_probability(p) == Fraction(1, 4)
 
@@ -112,21 +111,23 @@ def test_concat_accepts_iff_every_block_accepted():
 
 def test_canonical_debruijn_is_window_t():
     for n, t in ((4, 1), (4, 2), (6, 2), (6, 3)):
-        p, cert = canonical_debruijn_swbp(n, t, all_accepting_labeler)
+        p, cert = canonical_debruijn_swbp(n, t)
         assert p.w == 1 << t
         assert isinstance(check_window(p, t), WindowCertificate)
         assert certificate_is_valid(p, cert)
+        assert p.acc == p.reachable()[1:]
+        assert acceptance_probability(p) == 1
 
 
 def test_canonical_debruijn_reachable_prefix_tree():
-    p, _ = canonical_debruijn_swbp(5, 3, all_accepting_labeler)
+    p, _ = canonical_debruijn_swbp(5, 3)
     reach = p.reachable()
     for i in range(6):
         assert reach[i] == frozenset(range(1 << min(i, 3)))
 
 
 def test_window_violation_reported_with_witness():
-    p, _ = canonical_debruijn_swbp(6, 2, all_accepting_labeler)
+    p, _ = canonical_debruijn_swbp(6, 2)
     # break the shift structure in the middle of the program
     tables = [list(map(list, layer)) for layer in p.trans]
     tables[3][0][0] = 3  # was (2*0+0) % 4 = 0
@@ -143,13 +144,13 @@ def test_window_violation_reported_with_witness():
 
 
 def test_window_size_is_not_smaller_than_true_window():
-    p, _ = canonical_debruijn_swbp(6, 3, all_accepting_labeler)
+    p, _ = canonical_debruijn_swbp(6, 3)
     assert isinstance(check_window(p, 3), WindowCertificate)
     assert isinstance(check_window(p, 2), WindowViolation)
 
 
 def test_certificate_rejects_tampering():
-    p, cert = canonical_debruijn_swbp(5, 2, all_accepting_labeler)
+    p, cert = canonical_debruijn_swbp(5, 2)
     alphas = [list(a) for a in cert.alphas]
     alphas[3][0] ^= 1
     bad = WindowCertificate(cert.t, tuple(tuple(a) for a in alphas))
@@ -157,7 +158,7 @@ def test_certificate_rejects_tampering():
 
 
 def test_quotient_preserves_window_and_coarsens():
-    canon, _ = canonical_debruijn_swbp(6, 2, all_accepting_labeler)
+    canon, _ = canonical_debruijn_swbp(6, 2)
     merge = [[] for _ in range(7)]
     merge[3] = [[0, 1]]
     q = quotient_swbp(canon, merge)
@@ -166,7 +167,7 @@ def test_quotient_preserves_window_and_coarsens():
 
 
 def test_quotient_trivial_merge_is_isomorphic():
-    canon, _ = canonical_debruijn_swbp(4, 2, all_accepting_labeler)
+    canon, _ = canonical_debruijn_swbp(4, 2)
     q = quotient_swbp(canon, [[] for _ in range(5)])
     assert acceptance_probability(q) == acceptance_probability(canon)
     assert q.w == canon.w
@@ -180,7 +181,7 @@ def test_pad_program_keeps_probability():
 
 
 def test_json_roundtrip():
-    p, _ = canonical_debruijn_swbp(5, 2, all_accepting_labeler)
+    p, _ = canonical_debruijn_swbp(5, 2)
     blob = json.dumps(program_to_json(p))
     q = program_from_json(json.loads(blob))
     assert q == p
@@ -188,6 +189,6 @@ def test_json_roundtrip():
 
 def test_bad_parameters():
     with pytest.raises(ParameterError):
-        canonical_debruijn_swbp(3, 4, all_accepting_labeler)
+        canonical_debruijn_swbp(3, 4)
     with pytest.raises(ParameterError):
         LayeredProgram(1, 1, 0, (((0, 1),),), (frozenset({0}),))

@@ -107,7 +107,7 @@ def test_verify_hit(tmp_path):
 
 
 def test_window_check_certificate_and_violation(tmp_path):
-    p, _ = bp.canonical_debruijn_swbp(6, 2, bp.all_accepting_labeler)
+    p, _ = bp.canonical_debruijn_swbp(6, 2)
     prog_path = tmp_path / "prog.json"
     prog_path.write_text(json.dumps(bp.program_to_json(p)))
     code, out = run(tmp_path, "window-check", {"program": str(prog_path), "t": 2})

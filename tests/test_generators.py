@@ -160,7 +160,6 @@ def test_expand_bitstring_interface():
     g = base_exhaustive(4)
     seed = (1, 0, 1, 1)
     assert g.expand(seed) == seed
-    assert g.expand_blocks(seed) == (seed,)
     with pytest.raises(ShapeError):
         g.expand((1, 0))
 

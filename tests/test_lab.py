@@ -6,14 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from swprg.bits import int_to_bits
 from swprg.bp import (
     LayeredProgram,
     WindowCertificate,
     acceptance_probability,
-    all_accepting_labeler,
     canonical_debruijn_swbp,
     check_window,
     concat,
+    evaluate,
     evaluate_int,
     program_to_json,
 )
@@ -87,7 +88,7 @@ def test_batch_evaluate_matches_scalar():
         inputs = np.arange(1 << n, dtype=np.uint64)
         got = batch_evaluate(p, inputs)
         for x in range(1 << n):
-            assert bool(got[x]) == evaluate_int(p, x)
+            assert bool(got[x]) == evaluate_int(p, x) == evaluate(p, int_to_bits(x, n))
 
 
 def test_exhaustive_generator_fools_perfectly():
@@ -251,7 +252,7 @@ def test_hitting_report():
 def _shift_start_family(q0, k):
     """The n=4, t=2 de Bruijn shift program started in ``q0``, all states
     accepting, toggling its last ``k`` positions (layer 4 down)."""
-    canon, _ = canonical_debruijn_swbp(4, 2, all_accepting_labeler)
+    canon, _ = canonical_debruijn_swbp(4, 2)
     positions = [(layer, s) for layer in range(4, 1, -1) for s in range(4)][:k]
     full = tuple(frozenset(range(4)) for _ in range(4))
     return MaskFamily(LayeredProgram(4, 4, q0, canon.trans, full), tuple(positions))
