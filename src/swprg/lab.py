@@ -139,8 +139,10 @@ class MaskFamily:
     x iff the base accepts x and the set v(x) of toggle positions x visits
     misses M; so one run of the base, a histogram of v and one subset-sum
     transform count every program at once.  A single program is the family
-    with no positions.  Refuses a family of more than 2**DEFAULT_CAP_BITS
-    programs with CapExceeded.
+    with no positions.  Seed counts depend only on the distribution of the
+    outputs, so the base runs once per distinct output, weighted by how
+    many seeds produce it.  Refuses a family of more than
+    2**DEFAULT_CAP_BITS programs with CapExceeded.
     """
 
     base: LayeredProgram
@@ -179,16 +181,24 @@ class MaskFamily:
         return bits
 
     def accept_counts(self, outputs: np.ndarray) -> np.ndarray:
-        """How many of the packed ``outputs`` each program accepts, by mask."""
+        """How many of the packed ``outputs`` each program accepts, by mask,
+        as int64 counts; repeated outputs count once per occurrence."""
+        return self._weighted_counts(*np.unique(outputs, return_counts=True))
+
+    def _weighted_counts(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """:meth:`accept_counts` of the outputs ``values[i]``, each repeated
+        ``mult[i]`` times; ``values`` holds no repeats."""
         trans, acc = program_tables(self.base)
         bits = np.array(self._visit_bits(), dtype=np.int64)
-        alive = np.ones(len(outputs), dtype=bool)
-        visits = np.zeros(len(outputs), dtype=np.int64)
-        for i, state in _states(self.base, trans, outputs):
+        alive = np.ones(len(values), dtype=bool)
+        visits = np.zeros(len(values), dtype=np.int64)
+        for i, state in _states(self.base, trans, values):
             alive &= acc[i][state]
             if bits[i].any():
                 visits |= bits[i][state]
-        return _subset_sums_by_mask(np.bincount(visits[alive], minlength=len(self)))
+        hist = np.zeros(len(self), dtype=np.int64)
+        np.add.at(hist, visits[alive], mult[alive])
+        return _subset_sums_by_mask(hist)
 
     def uniform_counts(self) -> np.ndarray:
         """How many of the 2**n inputs each program accepts, by mask.
@@ -301,7 +311,8 @@ class _Counts:
 
 def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
     """Expand ``g`` once and count, for every program, the seeds and the
-    uniform inputs it accepts, one family at a time.
+    uniform inputs it accepts, one family at a time; each family walks the
+    distinct outputs once.
 
     ``programs`` is a family, or a sequence of families and single programs
     whose programs are numbered one after another.
@@ -313,14 +324,16 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
         if g.flat_bits != family.base.n:
             raise ShapeError(f"generator emits {g.flat_bits} bits, program reads {family.base.n}")
     outputs = g.expand_all(cap_seeds)
+    values, mult = np.unique(outputs, return_counts=True)
     seed: List[int] = []
     uniform: List[int] = []
     for family in families:
-        seed += family.accept_counts(outputs).tolist()
+        seed += family._weighted_counts(values, mult).tolist()
         uniform += family.uniform_counts().tolist()
     work = {
         "seeds_expanded": len(outputs),
-        "seed_layer_evals": len(outputs) * g.flat_bits * len(families),
+        "distinct_outputs": len(values),
+        "seed_layer_evals": len(values) * g.flat_bits * len(families),
         "programs_counted": len(seed),
     }
     return _Counts(families, seed, uniform, work)

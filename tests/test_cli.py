@@ -78,8 +78,10 @@ def test_verify_fool_exhaustive_passes(tmp_path):
     assert payload["worst_error"] == "0"
     assert (out / "fooling.csv").exists()
     work = {key: payload["metadata"][key]
-            for key in ("seeds_expanded", "seed_layer_evals", "programs_counted")}
-    assert work == {"seeds_expanded": 16, "seed_layer_evals": 16 * 4, "programs_counted": 64}
+            for key in ("seeds_expanded", "distinct_outputs", "seed_layer_evals",
+                        "programs_counted")}
+    assert work == {"seeds_expanded": 16, "distinct_outputs": 16, "seed_layer_evals": 16 * 4,
+                    "programs_counted": 64}
 
 
 def test_verify_fool_budget_violation(tmp_path):
@@ -93,6 +95,18 @@ def test_verify_fool_budget_violation(tmp_path):
     assert code == EXIT_FAIL
 
 
+def test_verify_fool_interleave_window_precondition(tmp_path):
+    g = generators.interleave(generators.base_exhaustive(2), generators.base_exhaustive(2))
+    config = {"generator": g.to_json(), "family": {"n": 4, "t": 3, "budget_bits": 4}}
+    code, out = run(tmp_path, "verify-fool", config)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    config["family"]["t"] = 2
+    code, out = run(tmp_path, "verify-fool", config)
+    assert code == EXIT_PASS
+    assert json.loads((out / "fooling.json").read_text())["worst_error"] == "0"
+
+
 def test_verify_hit(tmp_path):
     h = hsg.build_swbp_hsg(8, 2, 4, hsg.hsg_exhaustive(2))
     config = {"hsg": h.to_json(), "family": {"n": 8, "t": 2, "budget_bits": 5}}
@@ -101,9 +115,10 @@ def test_verify_hit(tmp_path):
     payload = json.loads((out / "hitting.json").read_text())
     assert payload["passed"]
     work = {key: payload["metadata"][key]
-            for key in ("seeds_expanded", "seed_layer_evals", "programs_counted")}
-    assert work == {"seeds_expanded": 1 << h.d, "seed_layer_evals": 8 << h.d,
-                    "programs_counted": 32}
+            for key in ("seeds_expanded", "distinct_outputs", "seed_layer_evals",
+                        "programs_counted")}
+    assert work == {"seeds_expanded": 1 << h.d, "distinct_outputs": 1 << h.d,
+                    "seed_layer_evals": 8 << h.d, "programs_counted": 32}
 
 
 def test_window_check_certificate_and_violation(tmp_path):

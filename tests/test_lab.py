@@ -321,3 +321,25 @@ def test_uniform_counts_without_input_enumeration():
     g = TableGen([rng.randrange(1 << 40) for _ in range(8)], 40)
     report = run_fooling_report(g, fam, Fraction(0))
     assert report.rows == [(i, str(fooling_error(g, fam.program(i)))) for i in range(len(fam))]
+
+
+def test_accept_counts_weigh_repeated_outputs():
+    rng = random.Random(64)
+    blocks = [swbp_family(3, 2, 3), swbp_family(3, 2, 2)]
+    for fam in (swbp_family(6, 2, 8), concat_families(blocks)):
+        values = rng.sample(range(1 << 6), 5)
+        outputs = np.array([rng.choice(values) for _ in range(64)], dtype=np.uint64)
+        assert len(set(np.unique(outputs, return_counts=True)[1].tolist())) > 1
+        counts = fam.accept_counts(outputs)
+        assert np.issubdtype(counts.dtype, np.integer)
+        assert counts[0] == batch_evaluate(fam.base, outputs).sum() > len(values)
+        for mask in range(len(fam)):
+            assert counts[mask] == batch_evaluate(fam.program(mask), outputs).sum()
+        for _ in range(3):
+            shuffled = outputs[rng.sample(range(64), 64)]
+            assert fam.accept_counts(shuffled).tolist() == counts.tolist()
+        g = TableGen(outputs, 6)
+        report = run_fooling_report(g, fam, Fraction(0))
+        errors = [fooling_error(g, fam.program(mask)) for mask in range(len(fam))]
+        assert report.rows == [(i, str(err)) for i, err in enumerate(errors)]
+        assert report.work["distinct_outputs"] == len(np.unique(outputs))
