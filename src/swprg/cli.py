@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bp, generators, hsg, lab, paca
-from .errors import DEFAULT_CAP_BITS, CapExceeded, ConfigurationError, SwprgError
+from .errors import DEFAULT_CAP_BITS, CapExceeded, SwprgError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -73,26 +73,11 @@ def cmd_gen(config: dict, out_dir: Path, args) -> int:
     return EXIT_PASS
 
 
-def _check_interleave_window(g: generators.Interleave, p: bp.LayeredProgram) -> None:
-    """Refuse a program outside the class where ``g``'s 2*max budget holds:
-    window size at most ``g.block_bits``.  Every member of a family shares
-    the base's transitions, so the base decides for all of them."""
-    result = bp.check_window(p, min(g.block_bits, p.n))
-    if isinstance(result, bp.WindowViolation):
-        raise ConfigurationError(
-            f"interleave budget holds for window <= block_bits={g.block_bits}; the "
-            f"programs are not: states {result.q} and {result.q_prime} of layer "
-            f"{result.layer} disagree after {list(result.word)}"
-        )
-
-
 def cmd_verify_fool(config: dict, out_dir: Path, args) -> int:
     g = generators.generator_from_json(config["generator"])
     family, family_name = _load_programs(config)
-    if isinstance(g, generators.Interleave):
-        _check_interleave_window(g, family.base)
     eps = Fraction(config.get("eps_budget", g.eps_budget))
-    report = lab.run_fooling_report(g, family, eps, "generator", family_name, args.cap_seeds)
+    report = lab.run_fooling_report(g, family, eps, family_name, args.cap_seeds)
     _write(out_dir, "fooling.json", report.to_json(), config)
     (out_dir / "fooling.csv").write_text(report.to_csv())
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -101,7 +86,7 @@ def cmd_verify_fool(config: dict, out_dir: Path, args) -> int:
 def cmd_verify_hit(config: dict, out_dir: Path, args) -> int:
     h = hsg.hsg_from_json(config["hsg"])
     family, family_name = _load_programs(config)
-    report = lab.run_hitting_report(h, family, "hsg", family_name, args.cap_seeds)
+    report = lab.run_hitting_report(h, family, family_name, args.cap_seeds)
     _write(out_dir, "hitting.json", report.to_json(), config)
     return EXIT_PASS if report.passed else EXIT_FAIL
 

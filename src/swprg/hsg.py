@@ -16,13 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .generators import (
-    Exhaustive,
     GeneratorSpec,
     Interleave,
     RectCompose,
     base_exhaustive,
+    build_swbp_prg,
     generator_from_json,
 )
 
@@ -99,17 +99,10 @@ def hsg_interleave(h1: HsgSpec, h2: HsgSpec) -> HsgSpec:
 def build_swbp_hsg(
     n: int, t: int, w: int, base: HsgSpec, rect: Optional[GeneratorSpec] = None
 ) -> HsgSpec:
-    """Hitting-set pipeline for width-w window-t length-n programs."""
-    if base.blocks != 1 or base.block_bits != t:
-        raise ShapeError("base must output a single block of t bits")
-    if n % (2 * t) != 0:
-        raise ParameterError(f"n={n} is not a multiple of 2t={2 * t}; pad the program")
-    m_half = n // (2 * t)
-    if rect is None:
-        rect = Exhaustive(m_half, base.d)
-    if rect.blocks != m_half or rect.block_bits != base.d:
-        raise ShapeError(f"rectangle must emit {m_half} blocks of {base.d} bits")
-    half = hsg_rect_compose(base, rect)
+    """Hitting-set pipeline for width-w window-t length-n programs: the shape-checked
+    "rect" pipeline of :func:`build_swbp_prg` on ``base``'s carrier, as an HSG."""
+    prg = build_swbp_prg(n, t, w, base.carrier, "rect", rect)
+    half = hsg_rect_compose(base, prg.g1.rect)
     return hsg_interleave(half, half)
 
 

@@ -20,14 +20,18 @@ import numpy as np
 
 from .bp import (
     LayeredProgram,
+    WindowViolation,
     acceptance_probability,
     canonical_debruijn_swbp,
+    check_window,
     concat,
     program_to_json,
     quotient_swbp,
     relabel,
 )
-from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
+from .errors import DEFAULT_CAP_BITS, CapExceeded, ConfigurationError, ParameterError, ShapeError
+from .generators import Interleave
+from .hsg import HsgSpec
 
 
 def program_tables(p: LayeredProgram) -> Tuple[np.ndarray, np.ndarray]:
@@ -73,6 +77,29 @@ def acceptance_probability_bruteforce(p: LayeredProgram) -> Fraction:
     return Fraction(int(batch_evaluate(p, inputs).sum()), 1 << p.n)
 
 
+def _check_width(g, p: LayeredProgram) -> None:
+    """Refuse a generator whose outputs are not as long as ``p``'s inputs."""
+    if g.flat_bits != p.n:
+        raise ShapeError(f"generator emits {g.flat_bits} bits, program reads {p.n}")
+
+
+def _check_class(g, p: LayeredProgram) -> None:
+    """Refuse a program outside the class where ``g``'s budget is argued: an
+    interleave, alone or as an HSG's carrier, pays 2*max only for windows of
+    at most its ``block_bits``.  The window depends only on the transitions,
+    which a family's members share with its base, so the base decides."""
+    node = g.carrier if isinstance(g, HsgSpec) else g
+    if not isinstance(node, Interleave):
+        return
+    result = check_window(p, min(node.block_bits, p.n))
+    if isinstance(result, WindowViolation):
+        raise ConfigurationError(
+            f"interleave budget holds for window <= block_bits={node.block_bits}; the "
+            f"programs are not: states {result.q} and {result.q_prime} of layer "
+            f"{result.layer} disagree after {list(result.word)}"
+        )
+
+
 # --- fooling ---------------------------------------------------------------------
 
 
@@ -81,8 +108,7 @@ def fooling_error(g, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Fr
 
     For a tuple of programs, one per block, pass ``bp.concat(programs)``.
     """
-    if g.flat_bits != p.n:
-        raise ShapeError(f"generator emits {g.flat_bits} bits, program reads {p.n}")
+    _check_width(g, p)
     accepted = int(batch_evaluate(p, g.expand_all(cap_seeds)).sum())
     return abs(Fraction(accepted, 1 << g.d) - acceptance_probability(p))
 
@@ -92,8 +118,7 @@ def fooling_error(g, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Fr
 
 def hitting_check(h, p: LayeredProgram) -> Optional[int]:
     """First seed (in seed order) whose expansion ``p`` accepts, or None."""
-    if h.flat_bits != p.n:
-        raise ShapeError(f"generator emits {h.flat_bits} bits, program reads {p.n}")
+    _check_width(h, p)
     accepted = batch_evaluate(p, h.expand_all(DEFAULT_CAP_BITS))
     idx = np.flatnonzero(accepted)
     return int(idx[0]) if len(idx) else None
@@ -312,7 +337,8 @@ class _Counts:
 def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
     """Expand ``g`` once and count, for every program, the seeds and the
     uniform inputs it accepts, one family at a time; each family walks the
-    distinct outputs once.
+    distinct outputs once.  Refuses, before expanding, programs of the wrong
+    length (ShapeError) or outside ``g``'s class (ConfigurationError).
 
     ``programs`` is a family, or a sequence of families and single programs
     whose programs are numbered one after another.
@@ -321,8 +347,8 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
         programs = [programs]
     families = [f if isinstance(f, MaskFamily) else MaskFamily(f) for f in programs]
     for family in families:
-        if g.flat_bits != family.base.n:
-            raise ShapeError(f"generator emits {g.flat_bits} bits, program reads {family.base.n}")
+        _check_width(g, family.base)
+        _check_class(g, family.base)
     outputs = g.expand_all(cap_seeds)
     values, mult = np.unique(outputs, return_counts=True)
     seed: List[int] = []
@@ -343,7 +369,6 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
 class FoolingReport:
     """Worst-case exact fooling error of a generator over a program family."""
 
-    generator_id: str
     family: str
     eps_budget: Fraction
     worst_error: Fraction = Fraction(0)
@@ -358,7 +383,7 @@ class FoolingReport:
     def to_json(self) -> dict:
         return {
             "schema": "fooling-report/1",
-            "generator": self.generator_id,
+            "generator": "generator",
             "family": self.family,
             "eps_budget": str(self.eps_budget),
             "worst_error": str(self.worst_error),
@@ -379,14 +404,13 @@ def run_fooling_report(
     g,
     programs: Programs,
     eps_budget: Fraction,
-    generator_id: str = "generator",
     family: str = "family",
     cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> FoolingReport:
     """Exact fooling error of every program; the worst is the first program
     with the largest error."""
     start = time.monotonic()
-    report = FoolingReport(generator_id, family, eps_budget)
+    report = FoolingReport(family, eps_budget)
     counts = _count(g, programs, cap_seeds)
     n, d = g.flat_bits, g.d
     # |a / 2**d - b / 2**n| over the common denominator 2**(n + d)
@@ -406,7 +430,6 @@ def run_fooling_report(
 
 @dataclass
 class HittingReport:
-    generator_id: str
     family: str
     threshold: Fraction
     programs_checked: int = 0
@@ -419,7 +442,7 @@ class HittingReport:
     def to_json(self) -> dict:
         return {
             "schema": "hitting-report/1",
-            "generator": self.generator_id,
+            "generator": "hsg",
             "family": self.family,
             "threshold": str(self.threshold),
             "programs_checked": self.programs_checked,
@@ -433,7 +456,6 @@ class HittingReport:
 def run_hitting_report(
     h,
     programs: Programs,
-    generator_id: str = "hsg",
     family: str = "family",
     cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> HittingReport:
@@ -441,7 +463,7 @@ def run_hitting_report(
     acceptance probability reaches the threshold (and is nonzero) must have
     a witness seed."""
     start = time.monotonic()
-    report = HittingReport(generator_id, family, h.eps_budget)
+    report = HittingReport(family, h.eps_budget)
     counts = _count(h, programs, cap_seeds)
     threshold, n = h.eps_budget, h.flat_bits
     for i, (hits, accepted) in enumerate(zip(counts.seed, counts.uniform)):

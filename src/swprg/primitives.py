@@ -101,12 +101,9 @@ class SmallBiasSet:
 
 
 def measure_bias(n: int, members: Tuple[int, ...]) -> Fraction:
-    size = len(members)
-    worst = Fraction(0)
-    for alpha in range(1, 1 << n):
-        s = sum(1 - 2 * parity(alpha & g) for g in members)
-        worst = max(worst, Fraction(abs(s), size))
-    return worst
+    # the largest |sum over members of (-1)**<alpha, g>| over nonzero tests alpha
+    sums = (abs(sum(1 - 2 * parity(alpha & g) for g in members)) for alpha in range(1, 1 << n))
+    return Fraction(max(sums, default=0), len(members))
 
 
 def full_group_set(n: int) -> SmallBiasSet:

@@ -5,7 +5,13 @@ import pytest
 
 from swprg.bp import LayeredProgram, acceptance_probability
 from swprg.errors import ParameterError, ShapeError
-from swprg.generators import ExhaustiveRectangle, base_exhaustive, base_nisan, with_measured_error
+from swprg.generators import (
+    ExhaustiveRectangle,
+    base_exhaustive,
+    base_nisan,
+    build_swbp_prg,
+    with_measured_error,
+)
 from swprg.hsg import (
     build_swbp_hsg,
     from_prg,
@@ -44,10 +50,13 @@ def test_build_swbp_hsg_shapes():
     h = build_swbp_hsg(8, 2, 4, hsg_exhaustive(2))
     assert h.flat_bits == 8
     assert h.eps_budget == 0
+    assert h.carrier == build_swbp_prg(8, 2, 4, base_exhaustive(2), "rect")
     with pytest.raises(ParameterError):
         build_swbp_hsg(10, 2, 4, hsg_exhaustive(2))
     with pytest.raises(ShapeError):
         build_swbp_hsg(8, 2, 4, from_prg(base_exhaustive(4)))
+    with pytest.raises(ShapeError, match="rectangle must emit 2 blocks of 2 bits"):
+        build_swbp_hsg(8, 2, 4, hsg_exhaustive(2), ExhaustiveRectangle(2, 3))
 
 
 def test_exhaustive_hsg_hits_iff_nonzero():

@@ -18,8 +18,9 @@ from swprg.bp import (
     evaluate_int,
     program_to_json,
 )
-from swprg.errors import CapExceeded, ParameterError, ShapeError
+from swprg.errors import CapExceeded, ConfigurationError, ParameterError, ShapeError
 from swprg.generators import Exhaustive, base_exhaustive, base_nisan, interleave
+from swprg.hsg import hsg_exhaustive, hsg_interleave
 from swprg.lab import (
     MaskFamily,
     acceptance_probability_bruteforce,
@@ -212,7 +213,7 @@ def test_sample_swbp_deterministic_and_window():
 def test_fooling_report_and_csv():
     g = base_exhaustive(2)
     fam = swbp_family(2, 2)
-    report = run_fooling_report(g, fam, Fraction(0), "exh", "n2t2")
+    report = run_fooling_report(g, fam, Fraction(0), "n2t2")
     assert report.passed and report.worst_error == 0
     assert report.programs_checked == len(fam)
     csv = report.to_csv()
@@ -220,6 +221,20 @@ def test_fooling_report_and_csv():
     assert len(csv.splitlines()) == len(fam) + 1
     payload = report.to_json()
     assert payload["passed"] is True
+    assert (payload["generator"], payload["family"]) == ("generator", "n2t2")
+
+
+def test_reports_refuse_interleave_outside_its_window_class():
+    g = interleave(base_exhaustive(2), base_exhaustive(2))
+    h = hsg_interleave(hsg_exhaustive(2), hsg_exhaustive(2))
+    fam = swbp_family(4, 4, budget_bits=4)  # window 4 > block_bits 2
+    with pytest.raises(ConfigurationError, match="block_bits=2") as fooling:
+        run_fooling_report(g, fam, g.eps_budget)
+    with pytest.raises(ConfigurationError) as hitting:
+        run_hitting_report(h, fam)
+    assert str(hitting.value) == str(fooling.value)
+    # the per-program oracle stays class-agnostic; g emits every 4-bit string once
+    assert [fooling_error(g, fam.program(m)) for m in range(len(fam))] == [0] * len(fam)
 
 
 def test_fooling_report_expands_once_on_many_threads():
