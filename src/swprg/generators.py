@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,9 @@ class GeneratorSpec:
 
     A node defines its shape (``d``, ``blocks``, ``block_bits``),
     ``eps_budget``, ``to_json`` and one expansion method,
-    :meth:`expand_seeds`; every other expansion is derived from it.
+    :meth:`expand_seeds`; every other expansion is derived from it, and so
+    is :meth:`output_counts` unless a node can count its outputs without
+    expanding every seed.
     """
 
     d: int
@@ -64,18 +66,27 @@ class GeneratorSpec:
             raise ShapeError(f"seed has {len(seed)} bits, generator expects {self.d}")
         return int_to_bits(self.expand_int(bits_to_int(seed)), self.flat_bits)
 
-    def expand_all(self, cap: int = DEFAULT_CAP_BITS) -> np.ndarray:
-        """Outputs for every seed, as packed uint64, seed order.
-
-        Cached per spec and read-only.
-        """
+    def _check_enumerable(self, cap: int) -> None:
         if self.d > cap:
             raise CapExceeded(
                 f"seed enumeration needs 2**{self.d} expansions (cap {cap} bits)",
                 self.d,
             )
         self._check_packs()
+
+    def expand_all(self, cap: int = DEFAULT_CAP_BITS) -> np.ndarray:
+        """Outputs for every seed, as packed uint64, seed order.
+
+        Cached per spec and read-only.
+        """
+        self._check_enumerable(cap)
         return _expand_all_cached(self)
+
+    def output_counts(self, cap: int = DEFAULT_CAP_BITS) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct outputs, packed uint64 in no fixed order, and how many
+        of the 2**d seeds produce each one, as int64.  Refuses as
+        :meth:`expand_all` does."""
+        return np.unique(self.expand_all(cap), return_counts=True)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -442,16 +453,30 @@ class Interleave(GeneratorSpec):
     def eps_budget(self) -> Fraction:
         return 2 * max(self.g1.eps_budget, self.g2.eps_budget)
 
-    def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        o1 = _expand_part(self.g1, seeds & np.uint64((1 << self.g1.d) - 1))
-        o2 = _expand_part(self.g2, seeds >> np.uint64(self.g1.d))
+    def _merge(self, o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
+        """Packed outputs whose blocks alternate those of ``o1`` and ``o2``."""
         t = self.block_bits
         mask = np.uint64((1 << t) - 1)
-        out = np.zeros(len(seeds), dtype=np.uint64)
+        out = np.zeros(len(o1), dtype=np.uint64)
         for i in range(self.g1.blocks):
             out |= ((o1 >> np.uint64(i * t)) & mask) << np.uint64(2 * i * t)
             out |= ((o2 >> np.uint64(i * t)) & mask) << np.uint64((2 * i + 1) * t)
         return out
+
+    def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        o1 = _expand_part(self.g1, seeds & np.uint64((1 << self.g1.d) - 1))
+        o2 = _expand_part(self.g2, seeds >> np.uint64(self.g1.d))
+        return self._merge(o1, o2)
+
+    def output_counts(self, cap: int = DEFAULT_CAP_BITS) -> Tuple[np.ndarray, np.ndarray]:
+        """The product of the halves' counts, built from their distinct
+        outputs alone.  The merge is a bit permutation of (o1, o2), so
+        distinct pairs give distinct outputs."""
+        self._check_enumerable(cap)
+        v1, c1 = self.g1.output_counts(cap)
+        v2, c2 = self.g2.output_counts(cap)
+        values = self._merge(np.repeat(v1, len(v2)), np.tile(v2, len(v1)))
+        return values, np.outer(c1, c2).ravel()
 
     def to_json(self) -> dict:
         return {"kind": "interleave", "g1": self.g1.to_json(), "g2": self.g2.to_json()}

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DEFAULT_CAP_BITS, ParameterError
 from .generators import (
     GeneratorSpec,
     Interleave,
@@ -57,6 +57,9 @@ class HsgSpec(GeneratorSpec):
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         return self.carrier.expand_seeds(seeds)
+
+    def output_counts(self, cap: int = DEFAULT_CAP_BITS) -> Tuple[np.ndarray, np.ndarray]:
+        return self.carrier.output_counts(cap)
 
     def to_json(self) -> dict:
         return {

@@ -334,11 +334,21 @@ class _Counts:
         raise IndexError(index)
 
 
+def _seeds_expanded(g) -> int:
+    """The seeds ``g.output_counts`` expands: an interleave, alone or as an
+    HSG's carrier, expands each half on its own seeds."""
+    node = g.carrier if isinstance(g, HsgSpec) else g
+    if isinstance(node, Interleave):
+        return _seeds_expanded(node.g1) + _seeds_expanded(node.g2)
+    return 1 << node.d
+
+
 def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
-    """Expand ``g`` once and count, for every program, the seeds and the
-    uniform inputs it accepts, one family at a time; each family walks the
-    distinct outputs once.  Refuses, before expanding, programs of the wrong
-    length (ShapeError) or outside ``g``'s class (ConfigurationError).
+    """Count ``g``'s distinct outputs once (``g.output_counts``) and, for
+    every program, the seeds and the uniform inputs it accepts, one family
+    at a time; each family walks the distinct outputs once.  Refuses, before
+    expanding, programs of the wrong length (ShapeError) or outside ``g``'s
+    class (ConfigurationError).
 
     ``programs`` is a family, or a sequence of families and single programs
     whose programs are numbered one after another.
@@ -349,15 +359,14 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
     for family in families:
         _check_width(g, family.base)
         _check_class(g, family.base)
-    outputs = g.expand_all(cap_seeds)
-    values, mult = np.unique(outputs, return_counts=True)
+    values, mult = g.output_counts(cap_seeds)
     seed: List[int] = []
     uniform: List[int] = []
     for family in families:
         seed += family._weighted_counts(values, mult).tolist()
         uniform += family.uniform_counts().tolist()
     work = {
-        "seeds_expanded": len(outputs),
+        "seeds_expanded": _seeds_expanded(g),
         "distinct_outputs": len(values),
         "seed_layer_evals": len(values) * g.flat_bits * len(families),
         "programs_counted": len(seed),
@@ -369,6 +378,7 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
 class FoolingReport:
     """Worst-case exact fooling error of a generator over a program family."""
 
+    generator: dict
     family: str
     eps_budget: Fraction
     worst_error: Fraction = Fraction(0)
@@ -383,7 +393,7 @@ class FoolingReport:
     def to_json(self) -> dict:
         return {
             "schema": "fooling-report/1",
-            "generator": "generator",
+            "generator": self.generator,
             "family": self.family,
             "eps_budget": str(self.eps_budget),
             "worst_error": str(self.worst_error),
@@ -410,7 +420,7 @@ def run_fooling_report(
     """Exact fooling error of every program; the worst is the first program
     with the largest error."""
     start = time.monotonic()
-    report = FoolingReport(family, eps_budget)
+    report = FoolingReport(g.to_json(), family, eps_budget)
     counts = _count(g, programs, cap_seeds)
     n, d = g.flat_bits, g.d
     # |a / 2**d - b / 2**n| over the common denominator 2**(n + d)
@@ -430,6 +440,7 @@ def run_fooling_report(
 
 @dataclass
 class HittingReport:
+    generator: dict
     family: str
     threshold: Fraction
     programs_checked: int = 0
@@ -442,7 +453,7 @@ class HittingReport:
     def to_json(self) -> dict:
         return {
             "schema": "hitting-report/1",
-            "generator": "hsg",
+            "generator": self.generator,
             "family": self.family,
             "threshold": str(self.threshold),
             "programs_checked": self.programs_checked,
@@ -463,7 +474,7 @@ def run_hitting_report(
     acceptance probability reaches the threshold (and is nonzero) must have
     a witness seed."""
     start = time.monotonic()
-    report = HittingReport(family, h.eps_budget)
+    report = HittingReport(h.to_json(), family, h.eps_budget)
     counts = _count(h, programs, cap_seeds)
     threshold, n = h.eps_budget, h.flat_bits
     for i, (hits, accepted) in enumerate(zip(counts.seed, counts.uniform)):

@@ -346,7 +346,8 @@ def step_vector_counts(
     HSG over one) emits every stream once, so the outcomes are the coin
     matrices of the configuration chain that :func:`exact_accept_probability`
     reads too, in the same proportions; for any other generator they are
-    its seeds, each stream swept.
+    its seeds: each distinct stream is swept once and weighted by how many
+    seeds emit it.
     """
     n, T = len(x), c.time_bound
     m = (n + T) * T
@@ -356,9 +357,10 @@ def step_vector_counts(
         return _step_vector_distribution(c, x)
     steps_mask = (1 << T) - 2
     counts: Dict[int, int] = {}
-    for r in g.expand_all(cap_seeds):
-        v = accepting_steps_of_stream(c, x, int(r)) & steps_mask
-        counts[v] = counts.get(v, 0) + 1
+    streams, mult = g.output_counts(cap_seeds)
+    for r, k in zip(streams.tolist(), mult.tolist()):
+        v = accepting_steps_of_stream(c, x, r) & steps_mask
+        counts[v] = counts.get(v, 0) + k
     return counts, g.d
 
 

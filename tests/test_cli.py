@@ -65,6 +65,29 @@ def test_verify_fool_family_budget_out_of_range(tmp_path, budget_bits):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, wrap",
+    [("verify-fool", "generator", lambda g: g), ("verify-hit", "hsg", hsg.from_prg)],
+    ids=["verify-fool", "verify-hit"],
+)
+def test_verify_refuses_interleave_over_cap_or_packing(tmp_path, capsys, command, key, wrap):
+    cases = [
+        # each 5-bit half fits the 8-bit cap; the 10-bit product does not
+        (generators.interleave(generators.base_exhaustive(5), generators.base_exhaustive(5)),
+         4, ["--cap-seeds", "8"], "seed enumeration needs 2**10 expansions (cap 8 bits)"),
+        (generators.interleave(generators.PairwiseRectangle(16, 2),
+                               generators.PairwiseRectangle(16, 2)),
+         2, [], "flat output of 64 bits does not pack into uint64"),
+    ]
+    for g, bits, extra, message in cases:
+        config = {key: wrap(g).to_json(),
+                  "family": {"n": g.flat_bits, "t": bits, "budget_bits": 2}}
+        code, out = run(tmp_path, command, config, extra=extra)
+        assert code == EXIT_CAP
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_verify_fool_exhaustive_passes(tmp_path):
     g = generators.base_exhaustive(4)
     config = {
@@ -80,8 +103,9 @@ def test_verify_fool_exhaustive_passes(tmp_path):
     work = {key: payload["metadata"][key]
             for key in ("seeds_expanded", "distinct_outputs", "seed_layer_evals",
                         "programs_counted")}
-    assert work == {"seeds_expanded": 16, "distinct_outputs": 16, "seed_layer_evals": 16 * 4,
-                    "programs_counted": 64}
+    # a base generator expands each of its 2**d seeds
+    assert work == {"seeds_expanded": 1 << g.d, "distinct_outputs": 16,
+                    "seed_layer_evals": 16 * 4, "programs_counted": 64}
 
 
 def test_verify_fool_budget_violation(tmp_path):
@@ -130,8 +154,11 @@ def test_verify_hit(tmp_path):
     work = {key: payload["metadata"][key]
             for key in ("seeds_expanded", "distinct_outputs", "seed_layer_evals",
                         "programs_counted")}
-    assert work == {"seeds_expanded": 1 << h.d, "distinct_outputs": 1 << h.d,
-                    "seed_layer_evals": 8 << h.d, "programs_counted": 32}
+    # an interleave expands each half on its own seeds, 2**4 + 2**4 of them
+    halves = h.carrier
+    assert work == {"seeds_expanded": (1 << halves.g1.d) + (1 << halves.g2.d),
+                    "distinct_outputs": 1 << h.d, "seed_layer_evals": 8 << h.d,
+                    "programs_counted": 32}
 
 
 def test_window_check_certificate_and_violation(tmp_path):

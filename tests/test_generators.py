@@ -294,6 +294,49 @@ def test_expand_all_matches_expand_int_everywhere():
     }
 
 
+def _count_pairs(values, counts):
+    assert len(np.unique(values)) == len(values)
+    assert counts.dtype == np.int64
+    return sorted(zip(values.tolist(), counts.tolist()))
+
+
+def test_output_counts_match_unique_of_expand_all():
+    nisan2 = base_nisan(2, 2, Fraction(1, 4))  # d = 3, 2-bit outputs, some repeated
+    unequal = interleave(nisan2, base_exhaustive(2))
+    nested = interleave(unequal, interleave(base_exhaustive(2), nisan2))
+    kinds = set()
+    for g in every_node_kind() + [unequal, nested]:
+        kinds.add(g.to_json()["kind"])
+        want = np.unique(g.expand_all(), return_counts=True)
+        assert _count_pairs(*g.output_counts()) == _count_pairs(*want), g.to_json()
+    assert max(base_nisan(4, 4, Fraction(1, 4)).output_counts()[1]) > 1
+    assert max(nested.output_counts()[1]) > 1
+    assert kinds == {
+        "exhaustive", "exhaustive_rect", "nisan", "pairwise_rect", "inw",
+        "rect_compose", "interleave", *HSG_KINDS,
+    }
+
+
+def test_output_counts_refuse_as_expand_all_does():
+    half = PairwiseRectangle(16, 2)  # d = 10; two halves emit 64 bits, too many to pack
+    product = interleave(base_exhaustive(5), base_exhaustive(5))
+    for g, caps in (
+        (base_exhaustive(10), (8,)),
+        (product, (8,)),  # each half fits the cap, the product does not
+        (from_prg(product), (8,)),
+        (interleave(half, half), (8, 24)),
+        (from_prg(interleave(half, half)), (8, 24)),
+    ):
+        for cap in caps:
+            with pytest.raises(CapExceeded) as want:
+                g.expand_all(cap=cap)
+            with pytest.raises(CapExceeded) as got:
+                g.output_counts(cap=cap)
+            assert (str(got.value), got.value.required_bits) == (
+                str(want.value), want.value.required_bits
+            )
+
+
 def test_expand_all_cache_is_read_only():
     outs = interleave(base_exhaustive(3), base_exhaustive(3)).expand_all()
     with pytest.raises(ValueError):

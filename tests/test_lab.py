@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +20,16 @@ from swprg.bp import (
     program_to_json,
 )
 from swprg.errors import CapExceeded, ConfigurationError, ParameterError, ShapeError
-from swprg.generators import Exhaustive, base_exhaustive, base_nisan, interleave
+from swprg import generators
+from swprg.generators import (
+    Exhaustive,
+    ExhaustiveRectangle,
+    base_exhaustive,
+    base_nisan,
+    interleave,
+    rect_compose,
+    with_measured_error,
+)
 from swprg.hsg import hsg_exhaustive, hsg_interleave
 from swprg.lab import (
     MaskFamily,
@@ -48,8 +58,14 @@ class ConstantGen:
     def expand_all(self, cap=24):
         return np.array([self.value], dtype=np.uint64)
 
+    def output_counts(self, cap=24):
+        return np.unique(self.expand_all(cap), return_counts=True)
+
     def expand_int(self, seed):
         return self.value
+
+    def to_json(self):
+        return {"kind": "constant", "value": self.value}
 
 
 class TableGen:
@@ -62,6 +78,12 @@ class TableGen:
 
     def expand_all(self, cap=24):
         return self.outputs
+
+    def output_counts(self, cap=24):
+        return np.unique(self.expand_all(cap), return_counts=True)
+
+    def to_json(self):
+        return {"kind": "table", "outputs": self.outputs.tolist()}
 
 
 def and_program():
@@ -133,8 +155,14 @@ def test_simultaneous_duplicated_block():
         def expand_all(self, cap=24):
             return np.array([0b00, 0b11], dtype=np.uint64)
 
+        def output_counts(self, cap=24):
+            return np.unique(self.expand_all(cap), return_counts=True)
+
         def expand_int(self, seed):
             return 0b11 * seed
+
+        def to_json(self):
+            return {"kind": "dup"}
 
     p = bit_is_one_program()
     # joint = 1/2, product = 1/4
@@ -221,7 +249,7 @@ def test_fooling_report_and_csv():
     assert len(csv.splitlines()) == len(fam) + 1
     payload = report.to_json()
     assert payload["passed"] is True
-    assert (payload["generator"], payload["family"]) == ("generator", "n2t2")
+    assert (payload["generator"], payload["family"]) == (g.to_json(), "n2t2")
 
 
 def test_reports_refuse_interleave_outside_its_window_class():
@@ -252,6 +280,26 @@ def test_fooling_report_expands_once_on_many_threads():
     report = run_fooling_report(g, fam, Fraction(0))
     assert report.passed and report.programs_checked == len(fam)
     assert expansions == [1 << g.d]
+
+
+def test_interleave_report_builds_no_seed_sized_array():
+    # criterion 5(d)'s generator: 2**20 seeds, 20,736 distinct outputs
+    nisan = with_measured_error(base_nisan(4, 4, Fraction(1, 4), 2), Fraction(1, 8))
+    half = rect_compose(nisan, ExhaustiveRectangle(2, nisan.d))
+    g = interleave(half, half)
+    fam = swbp_family(16, 2, 5)
+    generators._expand_all_cached.cache_clear()  # an earlier test's cached table would hide one
+    tracemalloc.start()
+    try:
+        report = run_fooling_report(g, fam, g.eps_budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.d == 20 and report.work["distinct_outputs"] == 144 * 144
+    assert report.work["seeds_expanded"] == 2 << 10
+    assert peak < 8 << 20  # one uint64 array of 2**20 outputs
+    per_seed = [fooling_error(g, fam.program(m)) for m in (0, len(fam) - 1)]
+    assert [report.rows[0][1], report.rows[-1][1]] == [str(e) for e in per_seed]
 
 
 def test_hitting_report():

@@ -9,7 +9,14 @@ import pytest
 
 from swprg.bp import acceptance_probability, check_window, evaluate_int, WindowCertificate
 from swprg.errors import ParameterError, ShapeError
-from swprg.generators import PairwiseRectangle, base_exhaustive, rect_compose
+from swprg.generators import (
+    ExhaustiveRectangle,
+    PairwiseRectangle,
+    base_exhaustive,
+    base_nisan,
+    interleave,
+    rect_compose,
+)
 from swprg.hsg import from_prg, hsg_exhaustive
 from swprg.lab import batch_evaluate
 from swprg.paca import (
@@ -31,6 +38,7 @@ from swprg.paca import (
     sliding_sim,
     spacetime_diagram,
     step,
+    step_vector_counts,
     stream_to_matrix,
     successors,
 )
@@ -292,6 +300,28 @@ def test_derandomize_one_sided_through_pairwise_hsg():
         assert decision == any(accepts(c, x, R).accept for R in matrices)
         decisions.append(decision)
     assert set(decisions) == {True, False}
+
+
+def test_step_vector_counts_weigh_repeated_streams():
+    # Nisan-based generators emit each 8-bit stream several times; sweeping
+    # each distinct stream once, weighted, must match a sweep of every seed
+    nisan = base_nisan(2, 2, Fraction(1, 4))
+    half = rect_compose(nisan, ExhaustiveRectangle(2, nisan.d))
+    gens = [interleave(half, half), rect_compose(nisan, ExhaustiveRectangle(4, nisan.d))]
+    rng = random.Random(43)
+    masks = set()
+    for _ in range(6):
+        c = sample_paca(rng, 2, 2)
+        x = tuple(rng.choice(c.sigma) for _ in range(2))  # (n + T) * T = 8 coin bits
+        for g in gens:
+            assert len(np.unique(g.expand_all())) < 1 << g.d
+            counts, bits = step_vector_counts(c, x, g)
+            per_seed = Counter(
+                accepting_steps_of_stream(c, x, int(r)) & 0b10 for r in g.expand_all()
+            )
+            assert (counts, bits) == (dict(per_seed), g.d)
+            masks.update(counts)
+    assert masks == {0, 0b10}
 
 
 def test_derandomize_two_sided_exhaustive_equals_exact():
