@@ -7,6 +7,9 @@ field so the payloads stay byte-identical across runs.
 
 Exit codes: 0 = pass, 1 = budget violation / window violation / reject,
 2 = enumeration cap refused, 3 = bad config (a missing or malformed value).
+
+Each command imports the modules it uses when it runs, so ``paca`` and
+``window-check``, which expand no seed, never load numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import bp, generators, hsg, lab, paca
+from . import bp, paca
 from .errors import DEFAULT_CAP_BITS, CapExceeded, SwprgError
 
 EXIT_PASS = 0
@@ -48,6 +51,8 @@ def _write(out_dir: Path, name: str, payload: dict, config: dict) -> None:
 def _load_programs(config: dict):
     """A family descriptor {"n", "t", "budget_bits"} or an explicit
     {"program": path} entry, as a family and its name."""
+    from . import lab
+
     fam = config.get("family")
     if fam is not None:
         return (
@@ -58,6 +63,8 @@ def _load_programs(config: dict):
 
 
 def cmd_gen(config: dict, out_dir: Path, args) -> int:
+    from . import generators
+
     g = generators.generator_from_json(config["generator"])
     payload = {
         "generator": g.to_json(),
@@ -74,6 +81,8 @@ def cmd_gen(config: dict, out_dir: Path, args) -> int:
 
 
 def cmd_verify_fool(config: dict, out_dir: Path, args) -> int:
+    from . import generators, lab
+
     g = generators.generator_from_json(config["generator"])
     family, family_name = _load_programs(config)
     eps = Fraction(config.get("eps_budget", g.eps_budget))
@@ -84,6 +93,8 @@ def cmd_verify_fool(config: dict, out_dir: Path, args) -> int:
 
 
 def cmd_verify_hit(config: dict, out_dir: Path, args) -> int:
+    from . import hsg, lab
+
     h = hsg.hsg_from_json(config["hsg"])
     family, family_name = _load_programs(config)
     report = lab.run_hitting_report(h, family, family_name, args.cap_seeds)
@@ -143,6 +154,8 @@ def cmd_paca(config: dict, out_dir: Path, args) -> int:
         _write(out_dir, "paca.json", {"mode": "exact", "probability": str(prob)}, config)
         return EXIT_PASS
     eps = Fraction(config.get("eps", "1/4"))
+    from . import generators, hsg  # exhaustive builders: no seed is expanded
+
     if mode == "derand1":
         decision = paca.derandomize_one_sided(
             c, x, eps,

@@ -15,13 +15,14 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .bits import BitString, bits_to_int, int_to_bits
 from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
 from .primitives import Extractor, HashFamily, extractor_from_json, perfect_extractor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GeneratorSpec:
@@ -31,7 +32,8 @@ class GeneratorSpec:
     ``eps_budget``, ``to_json`` and one expansion method,
     :meth:`expand_seeds`; every other expansion is derived from it, and so
     is :meth:`output_counts` unless a node can count its outputs without
-    expanding every seed.
+    expanding every seed.  numpy is imported by the methods that build
+    arrays, so building and describing a node loads none of it.
     """
 
     d: int
@@ -58,6 +60,8 @@ class GeneratorSpec:
             )
 
     def expand_int(self, seed: int) -> int:
+        import numpy as np
+
         self._check_packs()
         return int(self.expand_seeds(np.array([seed], dtype=np.uint64))[0])
 
@@ -86,6 +90,8 @@ class GeneratorSpec:
         """The distinct outputs, packed uint64 in no fixed order, and how many
         of the 2**d seeds produce each one, as int64.  Refuses as
         :meth:`expand_all` does."""
+        import numpy as np
+
         return np.unique(self.expand_all(cap), return_counts=True)
 
     def to_json(self) -> dict:
@@ -94,6 +100,8 @@ class GeneratorSpec:
 
 @lru_cache(maxsize=128)
 def _expand_all_cached(spec: "GeneratorSpec") -> np.ndarray:
+    import numpy as np
+
     out = spec.expand_seeds(np.arange(1 << spec.d, dtype=np.uint64))
     out.setflags(write=False)
     return out
@@ -213,6 +221,8 @@ class NisanBase(GeneratorSpec):
         return self.measured_eps if self.measured_eps is not None else self.eps_target
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         word, fam = self.word, self.hash_family
         hbits, h_eval = fam.seed_bits, fam.eval
         levels = range(self.levels, 0, -1)
@@ -283,6 +293,8 @@ class PairwiseRectangle(GeneratorSpec):
         return self.eps_cr
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         h_eval, b = self.hash_family.eval, self.block_bits
         blocks = range(self.blocks - 1, -1, -1)
         out = np.empty(len(seeds), dtype=np.uint64)
@@ -340,6 +352,8 @@ class InwStretch(GeneratorSpec):
         return 3 * max(self.inner.eps_budget, self.ext.eps)
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         s_g = seeds & np.uint64((1 << self.inner.d) - 1)
         s_e = seeds >> np.uint64(self.inner.d)
         if self.ext.kind == "perfect":
@@ -400,6 +414,8 @@ class RectCompose(GeneratorSpec):
         return self.blocks * self.base.eps_budget + self.rect.eps_budget
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         self.rect._check_packs()
         rect_out = self.rect.expand_seeds(seeds)
         m, t = self.rect.block_bits, self.base.block_bits
@@ -455,6 +471,8 @@ class Interleave(GeneratorSpec):
 
     def _merge(self, o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
         """Packed outputs whose blocks alternate those of ``o1`` and ``o2``."""
+        import numpy as np
+
         t = self.block_bits
         mask = np.uint64((1 << t) - 1)
         out = np.zeros(len(o1), dtype=np.uint64)
@@ -464,6 +482,8 @@ class Interleave(GeneratorSpec):
         return out
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         o1 = _expand_part(self.g1, seeds & np.uint64((1 << self.g1.d) - 1))
         o2 = _expand_part(self.g2, seeds >> np.uint64(self.g1.d))
         return self._merge(o1, o2)
@@ -472,6 +492,8 @@ class Interleave(GeneratorSpec):
         """The product of the halves' counts, built from their distinct
         outputs alone.  The merge is a bit permutation of (o1, o2), so
         distinct pairs give distinct outputs."""
+        import numpy as np
+
         self._check_enumerable(cap)
         v1, c1 = self.g1.output_counts(cap)
         v2, c2 = self.g2.output_counts(cap)

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .errors import DEFAULT_CAP_BITS, ParameterError
 from .generators import (
@@ -25,6 +23,9 @@ from .generators import (
     build_swbp_prg,
     generator_from_json,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

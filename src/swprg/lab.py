@@ -205,14 +205,10 @@ class MaskFamily:
             bits[layer - 1][state] |= 1 << j
         return bits
 
-    def accept_counts(self, outputs: np.ndarray) -> np.ndarray:
-        """How many of the packed ``outputs`` each program accepts, by mask,
-        as int64 counts; repeated outputs count once per occurrence."""
-        return self._weighted_counts(*np.unique(outputs, return_counts=True))
-
-    def _weighted_counts(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        """:meth:`accept_counts` of the outputs ``values[i]``, each repeated
-        ``mult[i]`` times; ``values`` holds no repeats."""
+    def accept_counts(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """How many outputs each program accepts, by mask, as int64 counts,
+        where the output ``values[i]`` (packed) occurs ``mult[i]`` times and
+        ``values`` holds no repeats: what ``g.output_counts()`` returns."""
         trans, acc = program_tables(self.base)
         bits = np.array(self._visit_bits(), dtype=np.int64)
         alive = np.ones(len(values), dtype=bool)
@@ -363,7 +359,7 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
     seed: List[int] = []
     uniform: List[int] = []
     for family in families:
-        seed += family._weighted_counts(values, mult).tolist()
+        seed += family.accept_counts(values, mult).tolist()
         uniform += family.uniform_counts().tolist()
     work = {
         "seeds_expanded": _seeds_expanded(g),

@@ -12,6 +12,7 @@ input itself, included) consists of accepting states only.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,50 +20,81 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .bp import LayeredProgram
 from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
-from .generators import Exhaustive
-from .hsg import HsgSpec
 
 Configuration = Tuple[int, ...]
+# a local rule delta_b as [left][center][right] -> next state
+Table = Tuple[Tuple[Tuple[int, ...], ...], ...]
+
+
+def _freeze_tables(q: int, **tables) -> Dict[str, Table]:
+    """Each of ``tables`` (any nested sequences, numpy arrays included) as
+    nested tuples of ints [left][center][right], every distinct row and plane
+    stored once across all of them.  Refuses a shape other than (q+1, q, q+1)
+    with ShapeError, and an entry that is not an int in 0..q-1 with
+    ParameterError; both are checked on the distinct rows only."""
+    rows: Dict[tuple, tuple] = {}
+    planes: Dict[tuple, tuple] = {}
+    # id of an input row or plane -> (it, its frozen form); holding it keeps
+    # the id from being reused by another object while the tables are frozen
+    seen: Dict[int, tuple] = {}
+
+    def freeze(seq, item, distinct):
+        hit = seen.get(id(seq))
+        if hit is None:
+            frozen = tuple(map(item, seq))
+            hit = seen[id(seq)] = (seq, distinct.setdefault(frozen, frozen))
+        return hit[1]
+
+    def row(seq):
+        return freeze(seq, operator.index, rows)
+
+    def plane(seq):
+        return freeze(seq, row, planes)
+
+    out = {}
+    for name, table in tables.items():
+        try:
+            out[name] = tuple(map(plane, table))
+        except TypeError as exc:
+            raise ParameterError(f"{name} is not a table of ints: {exc}") from exc
+        if len(out[name]) != q + 1:
+            raise ShapeError(f"{name} has {len(out[name])} planes, expected {q + 1}")
+    if any(len(p) != q for p in planes):
+        raise ShapeError(f"a delta table plane does not have {q} rows")
+    if any(len(r) != q + 1 for r in rows):
+        raise ShapeError(f"a delta table row does not have {q + 1} entries")
+    if any(min(r) < 0 or max(r) >= q for r in rows):
+        raise ParameterError("a delta table maps outside the state set")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class Paca:
-    """q states 0..q-1, boundary index q; delta tables are dense
-    (q+1, q, q+1) int arrays indexed [left][center][right] (treat as
-    read-only).  ``time_bound`` is the constant T."""
+    """q states 0..q-1, boundary index q; delta tables are nested tuples of
+    ints indexed [left][center][right], of shape (q+1, q, q+1), with equal
+    rows and planes shared.  Any nested sequence of ints (a numpy array
+    too) is accepted and frozen into that form.  ``time_bound`` is the
+    constant T."""
 
     q: int
     sigma: Tuple[int, ...]
     accepting: FrozenSet[int]
-    delta0: np.ndarray
-    delta1: np.ndarray
+    delta0: Table
+    delta1: Table
     time_bound: int
 
     def __post_init__(self):
-        shape = (self.q + 1, self.q, self.q + 1)
-        for name, table in (("delta0", self.delta0), ("delta1", self.delta1)):
-            if table.shape != shape:
-                raise ShapeError(f"{name} has shape {table.shape}, expected {shape}")
-            if table.min() < 0 or table.max() >= self.q:
-                raise ParameterError(f"{name} maps outside the state set")
+        tables = _freeze_tables(self.q, delta0=self.delta0, delta1=self.delta1)
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
         if not set(self.sigma) <= set(range(self.q)):
             raise ParameterError("input alphabet must be a subset of the states")
         if not self.accepting <= frozenset(range(self.q)):
             raise ParameterError("accepting set must be a subset of the states")
         if self.time_bound < 1:
             raise ParameterError("time bound must be positive")
-
-    @cached_property
-    def _rules(self) -> List[list]:
-        """delta0/delta1 as nested lists [bit][left][center][right], far faster
-        to index than numpy; equal planes are stored once (the fixtures repeat theirs)."""
-        planes = {p.tobytes(): p for t in (self.delta0, self.delta1) for p in t}
-        lists = {key: p.tolist() for key, p in planes.items()}
-        return [[lists[p.tobytes()] for p in t] for t in (self.delta0, self.delta1)]
 
     @cached_property
     def _alphabet(self) -> FrozenSet[int]:
@@ -82,7 +114,7 @@ class Paca:
         """Extended local rule: out-of-bounds cells stay at the boundary."""
         if center == self.q:
             return self.q
-        return self._rules[bit][left][center][right]
+        return (self.delta1 if bit else self.delta0)[left][center][right]
 
     def config_accepting(self, config: Configuration) -> bool:
         return all(s in self.accepting for s in config)
@@ -253,7 +285,7 @@ def accepting_steps_of_stream(c: Paca, x: Sequence[int], r: int) -> int:
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     b = c.boundary
-    rules, rejecting = c._rules, c._rejecting
+    rules, rejecting = (c.delta0, c.delta1), c._rejecting
     left = [b] * T
     center = [b] * T
     mask = (1 << (T + 1)) - 2  # steps 1..T assumed accepting until refuted
@@ -349,6 +381,9 @@ def step_vector_counts(
     its seeds: each distinct stream is swept once and weighted by how many
     seeds emit it.
     """
+    from .generators import Exhaustive  # loaded already by whoever built g
+    from .hsg import HsgSpec
+
     n, T = len(x), c.time_bound
     m = (n + T) * T
     if g.flat_bits != m:
@@ -403,24 +438,22 @@ def _leftmost_cell_paca(
     labels = ["in0", "in1", "idle"] + list(cell_states)
     idx = {lab: i for i, lab in enumerate(labels)}
     q = len(labels)
-    delta = np.zeros((2, q + 1, q, q + 1), dtype=np.int16)
-    for center_lab in labels:
-        ci = idx[center_lab]
-        for bit in (0, 1):
-            if center_lab == "idle":
-                cell_target = idx["idle"]
-            else:
-                cell_target = idx[cell_next(center_lab, bit)]
-            for left in range(q + 1):
-                target = cell_target if left == q else idx["idle"]
-                delta[bit, left, ci, :] = target
-    accepting = frozenset({idx["idle"]} | {idx[lab] for lab in cell_accepting})
+    idle = idx["idle"]
+    idle_plane = ((idle,) * (q + 1),) * q  # every cell with a left neighbor
+    tables = []
+    for bit in (0, 1):
+        leftmost = tuple(
+            (idle if lab == "idle" else idx[cell_next(lab, bit)],) * (q + 1)
+            for lab in labels
+        )
+        tables.append((idle_plane,) * q + (leftmost,))
+    accepting = frozenset({idle} | {idx[lab] for lab in cell_accepting})
     return Paca(
         q=q,
         sigma=(idx["in0"], idx["in1"]),
         accepting=accepting,
-        delta0=delta[0],
-        delta1=delta[1],
+        delta0=tables[0],
+        delta1=tables[1],
         time_bound=time_bound,
     )
 
@@ -496,20 +529,18 @@ def sample_paca(rng: random.Random, q: int, time_bound: int) -> Paca:
     accepting set, full input alphabet."""
     if q < 2:
         raise ParameterError("need at least two states")
-    delta = np.zeros((2, q + 1, q, q + 1), dtype=np.int16)
-    for bit in (0, 1):
-        for left in range(q + 1):
-            for center in range(q):
-                for right in range(q + 1):
-                    delta[bit, left, center, right] = rng.randrange(q)
+    delta0, delta1 = (
+        [[[rng.randrange(q) for _ in range(q + 1)] for _ in range(q)] for _ in range(q + 1)]
+        for _ in (0, 1)
+    )
     size = rng.randint(1, q - 1)
     accepting = frozenset(rng.sample(range(q), size))
     return Paca(
         q=q,
         sigma=tuple(range(q)),
         accepting=accepting,
-        delta0=delta[0],
-        delta1=delta[1],
+        delta0=delta0,
+        delta1=delta1,
         time_bound=time_bound,
     )
 
@@ -554,24 +585,33 @@ def spacetime_diagram(c: Paca, x: Sequence[int], matrix: Sequence[Sequence[int]]
 
 
 def paca_to_json(c: Paca) -> dict:
+    def lists(table: Table) -> list:
+        return [[list(row) for row in plane] for plane in table]
+
     return {
         "states": c.q,
         "sigma": list(c.sigma),
         "accepting": sorted(c.accepting),
         "boundary": c.boundary,
-        "delta0": c.delta0.tolist(),
-        "delta1": c.delta1.tolist(),
+        "delta0": lists(c.delta0),
+        "delta1": lists(c.delta1),
         "time_bound": c.time_bound,
     }
 
 
 def paca_from_json(data: dict) -> Paca:
+    """The inverse of :func:`paca_to_json`.  Refuses a ``boundary`` other
+    than ``states``, and table entries that are not ints in range, with
+    ParameterError."""
+    q = data["states"]
+    if data.get("boundary", q) != q:
+        raise ParameterError(f"boundary {data['boundary']!r} is not the state count {q!r}")
     return Paca(
-        q=data["states"],
+        q=q,
         sigma=tuple(data["sigma"]),
         accepting=frozenset(data["accepting"]),
-        delta0=np.array(data["delta0"], dtype=np.int16),
-        delta1=np.array(data["delta1"], dtype=np.int16),
+        delta0=data["delta0"],
+        delta1=data["delta1"],
         time_bound=data["time_bound"],
     )
 

@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swprg
 from swprg import bp, generators, hsg
 from swprg.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from swprg.paca import Paca, build_c1, paca_to_json
@@ -226,6 +230,62 @@ def test_paca_derand1_rejects_probability_zero(tmp_path):
     code, out = run(tmp_path, "paca", config)
     assert code == EXIT_FAIL
     assert json.loads((out / "paca.json").read_text())["accept"] is False
+
+
+@pytest.mark.parametrize("field, value", [("delta0", 1.5), ("boundary", 7)])
+def test_paca_malformed_file_exit_code(tmp_path, field, value):
+    spec = paca_to_json(build_c1())
+    if field == "boundary":
+        spec["boundary"] = value
+    else:
+        spec[field][spec["states"]][0][0] = value
+    paca_path = tmp_path / "bad.json"
+    paca_path.write_text(json.dumps(spec))
+    code, out = run(tmp_path, "paca", {"mode": "exact", "paca": str(paca_path), "input": [0]})
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+# Runs commands through cli.main in one interpreter and reports their exit
+# codes and whether numpy was loaded, before and after a verify-fool run.
+_STARTUP_PROBE = """
+import json, sys
+from swprg.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+before = "numpy" in sys.modules
+codes.append(main(json.loads(sys.argv[2])))
+print(json.dumps([codes, before, "numpy" in sys.modules]))
+"""
+
+
+def test_seedless_commands_start_without_numpy(tmp_path):
+    p, _ = bp.canonical_debruijn_swbp(6, 2)
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(json.dumps(bp.program_to_json(p)))
+    configs = [
+        ("paca", {"mode": mode, "paca": "c1", "input": [0, 1], "eps": "1/8"})
+        for mode in ("exact", "sim", "derand1", "derand2")
+    ]
+    configs.append(("window-check", {"program": str(prog_path), "t": 2}))
+    configs.append(("verify-fool", {
+        "generator": generators.base_exhaustive(4).to_json(),
+        "family": {"n": 4, "t": 2, "budget_bits": 2},
+    }))
+    argvs = [
+        [command, "--config", write_config(tmp_path, config, f"c{i}.json"),
+         "--out", str(tmp_path / f"out{i}")]
+        for i, (command, config) in enumerate(configs)
+    ]
+    src = str(Path(swprg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs[:-1]), json.dumps(argvs[-1])],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    codes, numpy_before, numpy_after = json.loads(probe.stdout)
+    assert codes == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_FAIL, EXIT_PASS, EXIT_PASS]
+    assert not numpy_before
+    assert numpy_after  # the probe sees numpy once a command loads it
 
 
 def test_readme_config_examples_run(tmp_path):

@@ -349,7 +349,7 @@ def test_family_counts_match_per_program_oracles():
         n = fam.base.n
         g = TableGen([rng.randrange(1 << n) for _ in range(4)], n, Fraction(1, 4))
         outputs = g.expand_all()
-        seed, uniform = fam.accept_counts(outputs), fam.uniform_counts()
+        seed, uniform = fam.accept_counts(*g.output_counts()), fam.uniform_counts()
         programs = [fam.program(i) for i in range(len(fam))]
         required, missed = 0, []
         for i, p in enumerate(programs):
@@ -392,15 +392,16 @@ def test_accept_counts_weigh_repeated_outputs():
     for fam in (swbp_family(6, 2, 8), concat_families(blocks)):
         values = rng.sample(range(1 << 6), 5)
         outputs = np.array([rng.choice(values) for _ in range(64)], dtype=np.uint64)
-        assert len(set(np.unique(outputs, return_counts=True)[1].tolist())) > 1
-        counts = fam.accept_counts(outputs)
+        distinct, mult = np.unique(outputs, return_counts=True)
+        assert len(set(mult.tolist())) > 1
+        counts = fam.accept_counts(distinct, mult)
         assert np.issubdtype(counts.dtype, np.integer)
         assert counts[0] == batch_evaluate(fam.base, outputs).sum() > len(values)
         for mask in range(len(fam)):
             assert counts[mask] == batch_evaluate(fam.program(mask), outputs).sum()
         for _ in range(3):
-            shuffled = outputs[rng.sample(range(64), 64)]
-            assert fam.accept_counts(shuffled).tolist() == counts.tolist()
+            order = rng.sample(range(len(distinct)), len(distinct))
+            assert fam.accept_counts(distinct[order], mult[order]).tolist() == counts.tolist()
         g = TableGen(outputs, 6)
         report = run_fooling_report(g, fam, Fraction(0))
         errors = [fooling_error(g, fam.program(mask)) for mask in range(len(fam))]

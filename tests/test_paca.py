@@ -62,7 +62,7 @@ def test_step_n1_uses_boundaries():
     c = sample_paca(rng, 3, 2)
     for s in range(3):
         for b in (0, 1):
-            expected = int((c.delta1 if b else c.delta0)[c.boundary, s, c.boundary])
+            expected = int((c.delta1 if b else c.delta0)[c.boundary][s][c.boundary])
             assert step(c, (s,), (b,)) == (expected,)
 
 
@@ -393,3 +393,58 @@ def test_sample_paca_deterministic():
     a = sample_paca(random.Random(4), 3, 2)
     b = sample_paca(random.Random(4), 3, 2)
     assert np.array_equal(a.delta0, b.delta0) and a.accepting == b.accepting
+
+
+def test_tables_from_arrays_lists_and_tuples_are_equal():
+    rng = random.Random(9)
+    c = sample_paca(rng, 3, 2)
+    arrays = [np.array(t, dtype=np.int16) for t in (c.delta0, c.delta1)]
+    lists = [[[list(row) for row in plane] for plane in t] for t in (c.delta0, c.delta1)]
+    for tables in (arrays, lists, [c.delta0, c.delta1]):
+        d = Paca(c.q, c.sigma, c.accepting, *tables, c.time_bound)
+        assert (d.delta0, d.delta1) == (c.delta0, c.delta1)
+        assert all(type(v) is int for t in (d.delta0, d.delta1) for p in t for r in p for v in r)
+        for x in product(c.sigma, repeat=2):
+            assert exact_accept_probability(d, x) == exact_accept_probability(c, x)
+    # equal rows and planes are stored once, across both tables
+    c2 = build_c2()
+    planes = {id(p) for t in (c2.delta0, c2.delta1) for p in t}
+    rows = {id(r) for t in (c2.delta0, c2.delta1) for p in t for r in p}
+    assert len(planes) == 3 and len(rows) < 2 * c2.q
+    e = identity_paca()  # one plane, repeated in both tables
+    assert len({id(p) for p in e.delta0 + e.delta1}) == 1
+
+
+def test_tables_refuse_bad_shapes_and_entries():
+    q = 2
+    good = [[[0] * (q + 1) for _ in range(q)] for _ in range(q + 1)]
+
+    def with_table(table):
+        return Paca(q, (0,), frozenset({1}), table, good, 2)
+
+    with_table(good)
+    with pytest.raises(ShapeError):
+        with_table(good[:q])  # wrong plane count
+    with pytest.raises(ShapeError):
+        with_table([plane + [[0] * (q + 1)] for plane in good])  # wrong row count
+    with pytest.raises(ShapeError):
+        with_table([[row[:q] for row in plane] for plane in good])  # wrong row length
+    for entry in (-1, q, 1.5, "1"):
+        bad = json.loads(json.dumps(good))
+        bad[q][1][0] = entry
+        with pytest.raises(ParameterError):
+            with_table(bad)
+    with pytest.raises(ShapeError):
+        with_table(np.zeros((q + 1, q, q), dtype=np.int16))
+    with pytest.raises(ParameterError):
+        with_table(np.full((q + 1, q, q + 1), q, dtype=np.int16))
+
+
+def test_paca_to_json_roundtrips():
+    rng = random.Random(12)
+    for c in (build_c1(), build_c2(), *(sample_paca(rng, q, 3) for q in (2, 3, 5))):
+        spec = paca_to_json(c)
+        back = paca_from_json(json.loads(json.dumps(spec)))
+        assert paca_to_json(back) == spec
+        assert (back.delta0, back.delta1) == (c.delta0, c.delta1)
+
