@@ -9,7 +9,8 @@ Exit codes: 0 = pass, 1 = budget violation / window violation / reject,
 2 = enumeration cap refused, 3 = bad config (a missing or malformed value).
 
 Each command imports the modules it uses when it runs, so ``paca`` and
-``window-check``, which expand no seed, never load numpy.
+``window-check``, which expand no seed, never load numpy, ``paca`` loads no
+generator or program module, and the verify commands never load ``paca``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bp, paca
 from .errors import DEFAULT_CAP_BITS, CapExceeded, SwprgError
+
+if TYPE_CHECKING:
+    from .paca import Paca
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -51,7 +55,7 @@ def _write(out_dir: Path, name: str, payload: dict, config: dict) -> None:
 def _load_programs(config: dict):
     """A family descriptor {"n", "t", "budget_bits"} or an explicit
     {"program": path} entry, as a family and its name."""
-    from . import lab
+    from . import bp, lab
 
     fam = config.get("family")
     if fam is not None:
@@ -103,6 +107,8 @@ def cmd_verify_hit(config: dict, out_dir: Path, args) -> int:
 
 
 def cmd_window_check(config: dict, out_dir: Path, args) -> int:
+    from . import bp
+
     p = bp.load_program(config["program"])
     result = bp.check_window(p, config["t"])
     if isinstance(result, bp.WindowCertificate):
@@ -124,7 +130,9 @@ def cmd_window_check(config: dict, out_dir: Path, args) -> int:
     return EXIT_FAIL
 
 
-def _load_paca(config: dict) -> paca.Paca:
+def _load_paca(config: dict) -> Paca:
+    from . import paca
+
     name = config["paca"]
     if name == "c1":
         return paca.build_c1()
@@ -134,6 +142,8 @@ def _load_paca(config: dict) -> paca.Paca:
 
 
 def cmd_paca(config: dict, out_dir: Path, args) -> int:
+    from . import paca
+
     c = _load_paca(config)
     x = tuple(config["input"])
     mode = config["mode"]
@@ -154,22 +164,13 @@ def cmd_paca(config: dict, out_dir: Path, args) -> int:
         _write(out_dir, "paca.json", {"mode": "exact", "probability": str(prob)}, config)
         return EXIT_PASS
     eps = Fraction(config.get("eps", "1/4"))
-    from . import generators, hsg  # exhaustive builders: no seed is expanded
-
+    # no builder: every coin matrix once, read off the configuration chain
     if mode == "derand1":
-        decision = paca.derandomize_one_sided(
-            c, x, eps,
-            lambda m, thr: hsg.hsg_exhaustive(m),
-            cap_seeds=args.cap_seeds,
-        )
+        decision = paca.derandomize_one_sided(c, x, eps, None)
         _write(out_dir, "paca.json", {"mode": "derand1", "accept": decision}, config)
         return EXIT_PASS if decision else EXIT_FAIL
     if mode == "derand2":
-        result = paca.derandomize_two_sided(
-            c, x, eps,
-            lambda m, thr: generators.base_exhaustive(m),
-            cap_seeds=args.cap_seeds,
-        )
+        result = paca.derandomize_two_sided(c, x, eps, None)
         _write(out_dir, "paca.json", {
             "mode": "derand2", "accept": result.accept, "eta": str(result.eta),
         }, config)

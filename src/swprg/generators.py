@@ -226,8 +226,8 @@ class NisanBase(GeneratorSpec):
         word, fam = self.word, self.hash_family
         hbits, h_eval = fam.seed_bits, fam.eval
         levels = range(self.levels, 0, -1)
-        out = np.empty(len(seeds), dtype=np.uint64)
-        for idx, seed in enumerate(map(int, seeds)):
+        out = []
+        for seed in seeds.tolist():
             # unrolled from the top level down: level k puts h_k(v) right
             # after each word v of the level above
             words = [seed & ((1 << word) - 1)]
@@ -237,8 +237,8 @@ class NisanBase(GeneratorSpec):
             flat = 0
             for v in reversed(words):
                 flat = flat << word | v
-            out[idx] = flat
-        return out
+            out.append(flat)
+        return np.array(out, dtype=np.uint64)
 
     def to_json(self) -> dict:
         data = {
@@ -297,13 +297,13 @@ class PairwiseRectangle(GeneratorSpec):
 
         h_eval, b = self.hash_family.eval, self.block_bits
         blocks = range(self.blocks - 1, -1, -1)
-        out = np.empty(len(seeds), dtype=np.uint64)
-        for idx, s in enumerate(map(int, seeds)):
+        out = []
+        for s in seeds.tolist():
             flat = 0
             for i in blocks:
                 flat = flat << b | h_eval(s, i)
-            out[idx] = flat
-        return out
+            out.append(flat)
+        return np.array(out, dtype=np.uint64)
 
     def to_json(self) -> dict:
         return {

@@ -13,15 +13,20 @@ from __future__ import annotations
 
 import json
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from .bp import LayeredProgram
 from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
+
+if TYPE_CHECKING:
+    import random
+
+    from .bp import LayeredProgram
 
 Configuration = Tuple[int, ...]
 # a local rule delta_b as [left][center][right] -> next state
@@ -103,8 +108,8 @@ class Paca:
 
     @cached_property
     def _rejecting(self) -> List[bool]:
-        """Indexed by state or boundary: is it a state outside the accepting set?"""
-        return [s not in self.accepting for s in range(self.q)] + [False]
+        """Indexed by state: is it outside the accepting set?"""
+        return [s not in self.accepting for s in range(self.q)]
 
     @property
     def boundary(self) -> int:
@@ -230,6 +235,8 @@ def sliding_sim(c: Paca, x: Sequence[int], t_set) -> LayeredProgram:
     destroy the sliding-window property), so the program is a window-size
     O(T^2) program.
     """
+    from .bp import LayeredProgram
+
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     t_set = frozenset(t_set)
@@ -279,28 +286,31 @@ def sliding_sim(c: Paca, x: Sequence[int], t_set) -> LayeredProgram:
 
 def accepting_steps_of_stream(c: Paca, x: Sequence[int], r: int) -> int:
     """Bitmask over steps 1..T of the steps whose configuration is
-    all-accepting, running the window sweep directly on the stream ``r``
-    (bit L of r is the coin of sweep layer L = j*T + tau).  Equivalent to
-    evaluating every S_{{s}} on r in one pass."""
+    all-accepting, for the coins the stream ``r`` feeds the automaton: at
+    step i+1, cell k (counted from 1) reads bit i + (i+k)*T of r, the coin
+    that layer (i+k)*T + i of the window sweep of :func:`sliding_sim` uses.
+    Steps the n in-bounds cells T times (n*T rule lookups), so it equals
+    evaluating every S_{{s}} on r, in one pass."""
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     b = c.boundary
     rules, rejecting = (c.delta0, c.delta1), c._rejecting
-    left = [b] * T
-    center = [b] * T
-    mask = (1 << (T + 1)) - 2  # steps 1..T assumed accepting until refuted
-    for j in range(n + T):
-        right = x[j] if j < n else b
-        for tau in range(T):
-            cell = center[tau]
-            # the boundary rule of Paca.delta, inlined: $ stays $
-            new = b if cell == b else rules[r & 1][left[tau]][cell][right]
-            r >>= 1
-            left[tau] = cell
-            center[tau] = right
-            right = new
+    config = [b, *x, b]  # in-bounds cells never leave Q, so the $ ends stay
+    cells = range(1, n + 1)
+    mask = 0
+    for i in range(T):
+        coins = r >> (i + (i + 1) * T)
+        left = b  # cell k-1 before this step
+        accepting = True
+        for k in cells:
+            center = config[k]
+            new = config[k] = rules[coins & 1][left][center][config[k + 1]]
+            coins >>= T
+            left = center
             if rejecting[new]:
-                mask &= ~(2 << tau)
+                accepting = False
+        if accepting:
+            mask |= 2 << i
     return mask
 
 
@@ -312,7 +322,7 @@ Builder = Callable[[int, Fraction], object]
 
 
 def derandomize_one_sided(
-    c: Paca, x: Sequence[int], eps: Fraction, hsg_builder: Builder,
+    c: Paca, x: Sequence[int], eps: Fraction, hsg_builder: Optional[Builder],
     cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> bool:
     """Deterministic decision for a one-sided eps-error PACA.
@@ -320,13 +330,14 @@ def derandomize_one_sided(
     Accepts iff step 0 accepts directly or some (t, seed) makes S_{{t}}
     accept the HSG output, with hitting threshold eps/T: that is, iff some
     seed's stream has a non-empty step mask.  eps is the floor on the
-    acceptance probability of inputs in the language.
+    acceptance probability of inputs in the language.  A ``None`` builder
+    takes every coin matrix once, as an exhaustive HSG would.
     """
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     if c.config_accepting(x):
         return True
-    h = hsg_builder((n + T) * T, Fraction(eps) / T)
+    h = None if hsg_builder is None else hsg_builder((n + T) * T, Fraction(eps) / T)
     counts, _ = step_vector_counts(c, x, h, cap_seeds)
     return any(counts)
 
@@ -338,7 +349,7 @@ class TwoSidedResult(NamedTuple):
 
 
 def derandomize_two_sided(
-    c: Paca, x: Sequence[int], eps: Fraction, prg_builder: Builder,
+    c: Paca, x: Sequence[int], eps: Fraction, prg_builder: Optional[Builder],
     cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> TwoSidedResult:
     """Inclusion-exclusion estimate of the acceptance probability.
@@ -347,13 +358,14 @@ def derandomize_two_sided(
     eta_t estimates Pr[all steps in t accepting] through the PRG (error
     parameter eps / 2**T); accept iff eta > 1/2.  Step 0 is deterministic
     and handled directly.  Every eta_t is a count of the step masks that
-    contain t, over the generator's seeds.
+    contain t, over the generator's seeds.  A ``None`` builder takes every
+    coin matrix once, as an exhaustive generator would.
     """
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     if c.config_accepting(x):
         return TwoSidedResult(True, Fraction(1), {})
-    g = prg_builder((n + T) * T, Fraction(eps) / (1 << T))
+    g = None if prg_builder is None else prg_builder((n + T) * T, Fraction(eps) / (1 << T))
     counts, bits = step_vector_counts(c, x, g, cap_seeds)
     steps = range(1, T)
     eta_count = 0
@@ -374,13 +386,15 @@ def step_vector_counts(
     """Counts of each step mask (the steps 1..T-1 whose configuration is
     all-accepting) over 2**bits equally likely outcomes, and ``bits``.
 
-    ``g`` emits the (n+T)*T-bit coin stream.  An exhaustive generator (or an
-    HSG over one) emits every stream once, so the outcomes are the coin
-    matrices of the configuration chain that :func:`exact_accept_probability`
-    reads too, in the same proportions; for any other generator they are
-    its seeds: each distinct stream is swept once and weighted by how many
-    seeds emit it.
+    ``g`` emits the (n+T)*T-bit coin stream.  ``None``, an exhaustive
+    generator or an HSG over one stands for every stream once, so the
+    outcomes are the coin matrices of the configuration chain that
+    :func:`exact_accept_probability` reads too, in the same proportions;
+    for any other generator they are its seeds: each distinct stream is
+    swept once and weighted by how many seeds emit it.
     """
+    if g is None:
+        return _step_vector_distribution(c, x)
     from .generators import Exhaustive  # loaded already by whoever built g
     from .hsg import HsgSpec
 

@@ -247,34 +247,29 @@ def test_paca_malformed_file_exit_code(tmp_path, field, value):
 
 
 # Runs commands through cli.main in one interpreter and reports their exit
-# codes and whether numpy was loaded, before and after a verify-fool run.
+# codes and the modules (numpy and swprg's own) loaded before and after the
+# last command.
 _STARTUP_PROBE = """
 import json, sys
 from swprg.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("swprg."))
+
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-before = "numpy" in sys.modules
+before = loaded()
 codes.append(main(json.loads(sys.argv[2])))
-print(json.dumps([codes, before, "numpy" in sys.modules]))
+print(json.dumps([codes, before, loaded()]))
 """
 
 
-def test_seedless_commands_start_without_numpy(tmp_path):
-    p, _ = bp.canonical_debruijn_swbp(6, 2)
-    prog_path = tmp_path / "prog.json"
-    prog_path.write_text(json.dumps(bp.program_to_json(p)))
-    configs = [
-        ("paca", {"mode": mode, "paca": "c1", "input": [0, 1], "eps": "1/8"})
-        for mode in ("exact", "sim", "derand1", "derand2")
-    ]
-    configs.append(("window-check", {"program": str(prog_path), "t": 2}))
-    configs.append(("verify-fool", {
-        "generator": generators.base_exhaustive(4).to_json(),
-        "family": {"n": 4, "t": 2, "budget_bits": 2},
-    }))
+def probe_startup(tmp_path, commands):
+    """Exit codes of ``commands`` run in a fresh interpreter, and the modules
+    loaded before and after the last one."""
     argvs = [
         [command, "--config", write_config(tmp_path, config, f"c{i}.json"),
          "--out", str(tmp_path / f"out{i}")]
-        for i, (command, config) in enumerate(configs)
+        for i, (command, config) in enumerate(commands)
     ]
     src = str(Path(swprg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -282,10 +277,46 @@ def test_seedless_commands_start_without_numpy(tmp_path):
         [sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs[:-1]), json.dumps(argvs[-1])],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    codes, numpy_before, numpy_after = json.loads(probe.stdout)
+    return json.loads(probe.stdout)
+
+
+def c1_paca_modes():
+    return [
+        ("paca", {"mode": mode, "paca": "c1", "input": [0, 1], "eps": "1/8"})
+        for mode in ("exact", "sim", "derand1", "derand2")
+    ]
+
+
+def tiny_verify_fool():
+    return ("verify-fool", {
+        "generator": generators.base_exhaustive(4).to_json(),
+        "family": {"n": 4, "t": 2, "budget_bits": 2},
+    })
+
+
+def test_seedless_commands_start_without_numpy(tmp_path):
+    p, _ = bp.canonical_debruijn_swbp(6, 2)
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(json.dumps(bp.program_to_json(p)))
+    configs = c1_paca_modes()
+    configs.append(("window-check", {"program": str(prog_path), "t": 2}))
+    configs.append(tiny_verify_fool())
+    codes, before, after = probe_startup(tmp_path, configs)
     assert codes == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_FAIL, EXIT_PASS, EXIT_PASS]
-    assert not numpy_before
-    assert numpy_after  # the probe sees numpy once a command loads it
+    assert "numpy" not in before
+    assert "numpy" in after  # the probe sees numpy once a command loads it
+
+
+def test_commands_load_only_the_modules_they_use(tmp_path):
+    # the four paca modes need no generator, HSG or program module
+    codes, _, after = probe_startup(tmp_path, c1_paca_modes())
+    assert codes == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_FAIL]
+    assert "swprg.paca" in after
+    assert not {"swprg.generators", "swprg.hsg", "swprg.bp"} & set(after)
+    # and verify-fool needs no PACA
+    codes, _, after = probe_startup(tmp_path, [tiny_verify_fool()])
+    assert codes == [EXIT_PASS]
+    assert "swprg.lab" in after and "swprg.paca" not in after
 
 
 def test_readme_config_examples_run(tmp_path):

@@ -272,6 +272,45 @@ def test_accepting_steps_of_stream_matches_stepping():
                 accepting_steps_of_stream(c, (), 0)
 
 
+def window_sweep_steps(c, x, r):
+    """Reference: the window sweep of sliding_sim run directly on the stream
+    r (bit L of r is the coin of sweep layer L = j*T + tau), one layer
+    update per stream bit; the step mask over steps 1..T."""
+    n, T = len(x), c.time_bound
+    b = c.boundary
+    left = [b] * T
+    center = [b] * T
+    mask = (1 << (T + 1)) - 2  # steps 1..T assumed accepting until refuted
+    for j in range(n + T):
+        right = x[j] if j < n else b
+        for tau in range(T):
+            new = c.delta(r & 1, left[tau], center[tau], right)
+            r >>= 1
+            left[tau] = center[tau]
+            center[tau] = right
+            right = new
+            if new != b and new not in c.accepting:
+                mask &= ~(2 << tau)
+    return mask
+
+
+def test_accepting_steps_of_stream_matches_window_sweep():
+    # up to the 63-bit streams a generator packs, where sliding_sim is
+    # far too large to build
+    rng = random.Random(53)
+    for q, T in product((2, 3, 5, 8, 16), range(1, 8)):
+        longest = 63 // T - T
+        for n in sorted({1, rng.randint(1, longest), longest}):
+            m = (n + T) * T
+            c = sample_paca(rng, q, T)
+            x = tuple(rng.choice(c.sigma) for _ in range(n))
+            streams = [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(30)]
+            for r in streams:
+                assert accepting_steps_of_stream(c, x, r) == window_sweep_steps(c, x, r), (
+                    q, T, x, r,
+                )
+
+
 def test_derandomize_one_sided_exhaustive_cross_check():
     rng = random.Random(29)
     builder = lambda m, thr: hsg_exhaustive(m)
@@ -343,6 +382,22 @@ def test_derandomize_two_sided_fixtures():
     assert r1.eta == Fraction(1, 4) and not r1.accept
     r2 = derandomize_two_sided(c2, (c2.sigma[0],) * 2, Fraction(1, 8), builder)
     assert r2.eta == Fraction(175, 256) and r2.accept
+
+
+def test_derandomizers_without_builder_match_exhaustive_ones():
+    # None means every coin matrix once, as an exhaustive generator does
+    rng = random.Random(59)
+    cases = [(build_c1(), (0, 1)), (build_c2(), (1, 1))]
+    for _ in range(8):
+        c = sample_paca(rng, rng.randint(2, 3), rng.randint(1, 3))
+        cases.append((c, tuple(rng.choice(c.sigma) for _ in range(rng.randint(1, 2)))))
+    for c, x in cases:
+        assert derandomize_one_sided(c, x, Fraction(1, 4), None) == derandomize_one_sided(
+            c, x, Fraction(1, 4), lambda m, thr: hsg_exhaustive(m)
+        )
+        assert derandomize_two_sided(c, x, Fraction(1, 8), None) == derandomize_two_sided(
+            c, x, Fraction(1, 8), lambda m, thr: base_exhaustive(m)
+        )
 
 
 def test_time_bound_fixtures():
