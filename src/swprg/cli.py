@@ -10,7 +10,9 @@ Exit codes: 0 = pass, 1 = budget violation / window violation / reject,
 
 Each command imports the modules it uses when it runs, so ``paca`` and
 ``window-check``, which expand no seed, never load numpy, ``paca`` loads no
-generator or program module, and the verify commands never load ``paca``.
+generator or program module and no ``dataclasses``, and the verify commands
+never load ``paca``.  ``--cap-seeds`` bounds generator seed enumeration, in
+``gen``, ``verify-fool`` and ``verify-hit``; no ``paca`` mode reads it.
 """
 
 from __future__ import annotations
@@ -198,7 +200,11 @@ def main(argv=None) -> int:
         "--jobs", type=int, default=1,
         help="ignored: each family is counted in one pass; kept so old command lines run",
     )
-    parser.add_argument("--cap-seeds", type=int, default=DEFAULT_CAP_BITS, dest="cap_seeds")
+    parser.add_argument(
+        "--cap-seeds", type=int, default=DEFAULT_CAP_BITS, dest="cap_seeds",
+        help="refuse to enumerate more than 2**CAP_SEEDS generator seeds (default %(default)s);"
+        " read by gen, verify-fool and verify-hit only, no paca mode enumerates seeds",
+    )
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:

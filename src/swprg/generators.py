@@ -226,19 +226,21 @@ class NisanBase(GeneratorSpec):
         word, fam = self.word, self.hash_family
         hbits, h_eval = fam.seed_bits, fam.eval
         levels = range(self.levels, 0, -1)
-        out = []
-        for seed in seeds.tolist():
-            # unrolled from the top level down: level k puts h_k(v) right
-            # after each word v of the level above
-            words = [seed & ((1 << word) - 1)]
-            for k in levels:
-                h = (seed >> (word + (k - 1) * hbits)) & ((1 << hbits) - 1)
-                words = [y for v in words for y in (v, h_eval(h, v))]
-            flat = 0
-            for v in reversed(words):
-                flat = flat << word | v
-            out.append(flat)
-        return np.array(out, dtype=np.uint64)
+
+        def flats():
+            for seed in seeds.tolist():
+                # unrolled from the top level down: level k puts h_k(v) right
+                # after each word v of the level above
+                words = [seed & ((1 << word) - 1)]
+                for k in levels:
+                    h = (seed >> (word + (k - 1) * hbits)) & ((1 << hbits) - 1)
+                    words = [y for v in words for y in (v, h_eval(h, v))]
+                flat = 0
+                for v in reversed(words):
+                    flat = flat << word | v
+                yield flat
+
+        return np.fromiter(flats(), dtype=np.uint64, count=len(seeds))
 
     def to_json(self) -> dict:
         data = {
@@ -297,13 +299,15 @@ class PairwiseRectangle(GeneratorSpec):
 
         h_eval, b = self.hash_family.eval, self.block_bits
         blocks = range(self.blocks - 1, -1, -1)
-        out = []
-        for s in seeds.tolist():
-            flat = 0
-            for i in blocks:
-                flat = flat << b | h_eval(s, i)
-            out.append(flat)
-        return np.array(out, dtype=np.uint64)
+
+        def flats():
+            for s in seeds.tolist():
+                flat = 0
+                for i in blocks:
+                    flat = flat << b | h_eval(s, i)
+                yield flat
+
+        return np.fromiter(flats(), dtype=np.uint64, count=len(seeds))
 
     def to_json(self) -> dict:
         return {

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -75,13 +74,12 @@ def _freeze_tables(q: int, **tables) -> Dict[str, Table]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class Paca:
     """q states 0..q-1, boundary index q; delta tables are nested tuples of
     ints indexed [left][center][right], of shape (q+1, q, q+1), with equal
     rows and planes shared.  Any nested sequence of ints (a numpy array
     too) is accepted and frozen into that form.  ``time_bound`` is the
-    constant T."""
+    constant T.  Read-only once built; equal only to itself."""
 
     q: int
     sigma: Tuple[int, ...]
@@ -90,16 +88,24 @@ class Paca:
     delta1: Table
     time_bound: int
 
-    def __post_init__(self):
-        tables = _freeze_tables(self.q, delta0=self.delta0, delta1=self.delta1)
-        for name, table in tables.items():
-            object.__setattr__(self, name, table)
-        if not set(self.sigma) <= set(range(self.q)):
+    def __init__(self, q: int, sigma: Tuple[int, ...], accepting: FrozenSet[int],
+                 delta0, delta1, time_bound: int):
+        tables = _freeze_tables(q, delta0=delta0, delta1=delta1)
+        if not set(sigma) <= set(range(q)):
             raise ParameterError("input alphabet must be a subset of the states")
-        if not self.accepting <= frozenset(range(self.q)):
+        if not accepting <= frozenset(range(q)):
             raise ParameterError("accepting set must be a subset of the states")
-        if self.time_bound < 1:
+        if time_bound < 1:
             raise ParameterError("time bound must be positive")
+        # written past __setattr__, as the cached properties below are
+        vars(self).update(q=q, sigma=sigma, accepting=accepting,
+                          time_bound=time_bound, **tables)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Paca is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Paca is read-only: cannot delete {name!r}")
 
     @cached_property
     def _alphabet(self) -> FrozenSet[int]:
@@ -358,7 +364,8 @@ def derandomize_two_sided(
     eta_t estimates Pr[all steps in t accepting] through the PRG (error
     parameter eps / 2**T); accept iff eta > 1/2.  Step 0 is deterministic
     and handled directly.  Every eta_t is a count of the step masks that
-    contain t, over the generator's seeds.  A ``None`` builder takes every
+    contain t, over the generator's seeds; one superset-sum transform over
+    the 2**(T-1) step subsets gives them all.  A ``None`` builder takes every
     coin matrix once, as an exhaustive generator would.
     """
     x = _check_input(c, x)
@@ -367,15 +374,27 @@ def derandomize_two_sided(
         return TwoSidedResult(True, Fraction(1), {})
     g = None if prg_builder is None else prg_builder((n + T) * T, Fraction(eps) / (1 << T))
     counts, bits = step_vector_counts(c, x, g, cap_seeds)
-    steps = range(1, T)
+    # contains[sub]: the outcomes whose step mask contains the steps s with
+    # bit s-1 of sub set, by one superset-sum (Yates) transform
+    size = 1 << (T - 1)
+    contains = [0] * size
+    for v, cnt in counts.items():
+        contains[v >> 1] += cnt
+    bit = 1
+    while bit < size:
+        for sub in range(size):
+            if not sub & bit:
+                contains[sub] += contains[sub | bit]
+        bit <<= 1
     eta_count = 0
     eta_terms: Dict[FrozenSet[int], Fraction] = {}
-    for sub in range(1, 1 << len(steps)):
-        members = [s for idx, s in enumerate(steps) if (sub >> idx) & 1]
-        t_mask = sum(1 << s for s in members)
-        count = sum(cnt for v, cnt in counts.items() if v & t_mask == t_mask)
-        eta_terms[frozenset(members)] = Fraction(count, 1 << bits)
-        eta_count += count if len(members) % 2 == 1 else -count
+    steps_of: List[Tuple[int, ...]] = [()] * size  # the steps of each sub
+    for sub in range(1, size):
+        low = sub & -sub
+        steps = steps_of[sub] = steps_of[sub ^ low] + (low.bit_length(),)
+        count = contains[sub]
+        eta_terms[frozenset(steps)] = Fraction(count, 1 << bits)
+        eta_count += count if len(steps) % 2 == 1 else -count
     eta = Fraction(eta_count, 1 << bits)
     return TwoSidedResult(eta > Fraction(1, 2), eta, eta_terms)
 

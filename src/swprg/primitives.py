@@ -4,9 +4,10 @@ extractors, and exact distribution diagnostics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from .bits import parity
 from .errors import ConfigurationError, ParameterError, ShapeError
@@ -31,20 +32,50 @@ class HashFamily:
     def seed_bits(self) -> int:
         return self.a * self.b + self.b
 
+    @cached_property
+    def _kernel(self) -> Tuple[int, int, int, int, List[int], int, int, int]:
+        return _hash_kernel(self.a, self.b)
+
     def eval(self, member_seed: int, x: int) -> int:
-        # one call per seed and block on the generator path; as x < 2**a,
-        # ``row & x`` needs no row mask
-        a, b = self.a, self.b
-        if not 0 <= x < 1 << a:
-            raise ShapeError(f"hash input {x} outside domain [0, {1 << a})")
-        if not 0 <= member_seed < 1 << (a * b + b):
+        # one call per seed and block on the generator path: row field i of
+        # z is row i of A masked by x, and the table reads the parities of
+        # a chunk of rows at once
+        domain, seeds, ab, rep, table, rows, width, mask = self._kernel
+        if not 0 <= x < domain:
+            raise ShapeError(f"hash input {x} outside domain [0, {domain})")
+        if not 0 <= member_seed < seeds:
             raise ShapeError("hash member seed outside description length")
-        y = member_seed >> (a * b)
-        row = member_seed
-        for i in range(b):
-            y ^= ((row & x).bit_count() & 1) << i
-            row >>= a
+        z = member_seed & (x * rep)
+        y = member_seed >> ab
+        shift = 0
+        while z:
+            y ^= table[z & mask] << shift
+            z >>= width
+            shift += rows
         return y
+
+
+@lru_cache(maxsize=None)
+def _hash_kernel(a: int, b: int) -> Tuple[int, int, int, int, List[int], int, int, int]:
+    """What :meth:`HashFamily.eval` needs for shape (a, b), built once and
+    shared by every family of that shape: the input and seed bounds 2**a and
+    2**(a*b + b); a*b, where the offset starts; the multiplier that repeats
+    an input into each of the b row fields; a table whose entry z has as
+    bit i the parity of the i-th a-bit field of z, for the
+    k = max(1, min(b, 12 // a)) fields of one table read; and k, the k*a
+    bits of one read and their mask.  The table has 2**(k*a) entries, 2**a
+    once a > 12; the generators keep a <= 7, as their seeds pack into 64
+    bits."""
+    rows = max(1, min(b, 12 // a))
+    row_mask = (1 << a) - 1
+    table = [0] * (1 << (rows * a))
+    for z in range(1, len(table)):
+        table[z] = table[z >> a] << 1 | ((z & row_mask).bit_count() & 1)
+    rep = 0
+    for i in range(b):
+        rep |= 1 << (i * a)
+    width = rows * a
+    return 1 << a, 1 << (a * b + b), a * b, rep, table, rows, width, (1 << width) - 1
 
 
 # --- small-bias sets ----------------------------------------------------------

@@ -254,7 +254,9 @@ import json, sys
 from swprg.cli import main
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("swprg."))
+    return sorted(
+        m for m in sys.modules if m in ("numpy", "dataclasses") or m.startswith("swprg.")
+    )
 
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 before = loaded()
@@ -265,7 +267,7 @@ print(json.dumps([codes, before, loaded()]))
 
 def probe_startup(tmp_path, commands):
     """Exit codes of ``commands`` run in a fresh interpreter, and the modules
-    loaded before and after the last one."""
+    (numpy, dataclasses and ``swprg.*``) loaded before and after the last one."""
     argvs = [
         [command, "--config", write_config(tmp_path, config, f"c{i}.json"),
          "--out", str(tmp_path / f"out{i}")]
@@ -308,15 +310,29 @@ def test_seedless_commands_start_without_numpy(tmp_path):
 
 
 def test_commands_load_only_the_modules_they_use(tmp_path):
-    # the four paca modes need no generator, HSG or program module
+    # the four paca modes need no generator, HSG or program module, nor
+    # dataclasses
     codes, _, after = probe_startup(tmp_path, c1_paca_modes())
     assert codes == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_FAIL]
     assert "swprg.paca" in after
-    assert not {"swprg.generators", "swprg.hsg", "swprg.bp"} & set(after)
-    # and verify-fool needs no PACA
+    assert not {"swprg.generators", "swprg.hsg", "swprg.bp", "dataclasses"} & set(after)
+    # and verify-fool needs no PACA; its generators do load dataclasses
     codes, _, after = probe_startup(tmp_path, [tiny_verify_fool()])
     assert codes == [EXIT_PASS]
     assert "swprg.lab" in after and "swprg.paca" not in after
+    assert "dataclasses" in after
+
+
+def test_cap_seeds_help_names_the_commands_it_bounds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert (
+        "--cap-seeds CAP_SEEDS refuse to enumerate more than 2**CAP_SEEDS generator seeds"
+        " (default 24); read by gen, verify-fool and verify-hit only, no paca mode"
+        " enumerates seeds" in text
+    )
 
 
 def test_readme_config_examples_run(tmp_path):

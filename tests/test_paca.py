@@ -400,6 +400,47 @@ def test_derandomizers_without_builder_match_exhaustive_ones():
         )
 
 
+def two_sided_by_rescan(counts, bits, T):
+    """The terms and eta of the two-sided derandomizer from its step-mask
+    counts, each subset of steps rescanning every mask: the reference for
+    the superset-sum transform."""
+    steps = range(1, T)
+    eta_count = 0
+    eta_terms = {}
+    for sub in range(1, 1 << len(steps)):
+        members = [s for idx, s in enumerate(steps) if (sub >> idx) & 1]
+        t_mask = sum(1 << s for s in members)
+        count = sum(cnt for v, cnt in counts.items() if v & t_mask == t_mask)
+        eta_terms[frozenset(members)] = Fraction(count, 1 << bits)
+        eta_count += count if len(members) % 2 == 1 else -count
+    return eta_terms, Fraction(eta_count, 1 << bits)
+
+
+def test_two_sided_terms_match_subset_rescan():
+    rng = random.Random(61)
+    cases = [(build_c1(), (0, 1), None), (build_c2(), (1, 1), None)]
+    for _ in range(8):
+        c = sample_paca(rng, rng.randint(2, 3), rng.randint(1, 4))
+        cases.append((c, tuple(rng.choice(c.sigma) for _ in range(rng.randint(1, 2))), None))
+    # a generator path, on a rejecting input symbol so that step 0 does not
+    # decide: (1 + 3) * 3 = 12 stream bits from 3 + 9 seed bits
+    c = sample_paca(rng, 3, 3)
+    g = rect_compose(base_exhaustive(3), PairwiseRectangle(4, 3))
+    cases.append((c, (min(set(c.sigma) - c.accepting),), g))
+    checked = 0
+    for c, x, g in cases:
+        result = derandomize_two_sided(c, x, Fraction(1, 8), g and (lambda m, thr: g))
+        if c.config_accepting(x):
+            assert result == (True, Fraction(1), {})
+            continue
+        terms, eta = two_sided_by_rescan(*step_vector_counts(c, x, g), c.time_bound)
+        # equal terms in the same order, so reports list them alike
+        assert list(result.eta_terms.items()) == list(terms.items())
+        assert result.eta == eta and result.accept == (eta > Fraction(1, 2))
+        checked += 1
+    assert checked == 9  # both fixtures, 6 of the 8 samples and the generator case
+
+
 def test_time_bound_fixtures():
     assert check_time_bound(build_c1(), 1)
     assert check_time_bound(build_c2(), 1)

@@ -49,18 +49,42 @@ def test_hash_family_marginal_uniform():
         assert len(set(counts)) == 1
 
 
+def hash_by_rows(a, b, member_seed, x):
+    """h(x) one row at a time: bit i is the parity of row i of A masked by x
+    (x < 2**a, so the bits of the later rows drop out)."""
+    y = member_seed >> (a * b)
+    row = member_seed
+    for i in range(b):
+        y ^= ((row & x).bit_count() & 1) << i
+        row >>= a
+    return y
+
+
 def test_hash_eval_matches_matrix_product():
     # y = A x + c over GF(2), with A read row-major from the seed's low a*b
-    # bits and c from the rest, computed as a numpy matrix product
-    for a, b in ((1, 1), (2, 3), (3, 4), (4, 2)):
+    # bits and c from the rest, computed as a numpy matrix product and row by
+    # row.  (5, 4) and (7, 3) take several table reads of 2 and 4 rows,
+    # (13, 2) reads one row at a time.  Seeds and inputs are all of them up
+    # to 2**16 and 2**7, else sampled with both ends.
+    rng = np.random.default_rng(15)
+
+    def grid(bits, limit, size):
+        if bits <= limit:
+            return np.arange(1 << bits, dtype=np.int64)
+        sample = rng.integers(0, 1 << bits, size=size, dtype=np.int64)
+        return np.concatenate(([0, (1 << bits) - 1], sample))
+
+    for a, b in ((1, 1), (2, 3), (3, 4), (4, 2), (5, 4), (7, 3), (13, 2)):
         fam = HashFamily(a, b)
-        seeds = np.arange(1 << fam.seed_bits, dtype=np.int64)
+        seeds, xs = grid(fam.seed_bits, 16, 1024), grid(a, 7, 64)
         A = ((seeds[:, None] >> np.arange(a * b)) & 1).reshape(-1, b, a)
-        xs = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
-        ys = (A @ xs.T) % 2 ^ ((seeds[:, None] >> (a * b + np.arange(b))) & 1)[:, :, None]
+        x_bits = (xs[:, None] >> np.arange(a)) & 1
+        ys = (A @ x_bits.T) % 2 ^ ((seeds[:, None] >> (a * b + np.arange(b))) & 1)[:, :, None]
         want = (ys << np.arange(b)[None, :, None]).sum(axis=1)
-        got = [[fam.eval(s, x) for x in range(1 << a)] for s in range(1 << fam.seed_bits)]
-        assert np.array_equal(np.array(got), want), (a, b)
+        pairs = [(s, x) for s in seeds.tolist() for x in xs.tolist()]
+        got = [fam.eval(s, x) for s, x in pairs]
+        assert np.array_equal(np.array(got).reshape(want.shape), want), (a, b)
+        assert got == [hash_by_rows(a, b, s, x) for s, x in pairs], (a, b)
 
 
 def test_hash_eval_refuses_out_of_range():
