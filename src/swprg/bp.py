@@ -279,89 +279,57 @@ def canonical_debruijn_swbp(n: int, t: int) -> Tuple[LayeredProgram, WindowCerti
 # --- quotients ----------------------------------------------------------------
 
 
-class _Dsu:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+def _root(parent: List[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def quotient_swbp(
     canonical: LayeredProgram, merge: Sequence[Sequence[Sequence[int]]]
 ) -> LayeredProgram:
-    """Merge states per layer and propagate until transitions are
-    well-defined on blocks.
+    """Merge states per layer, and the successors of merged states, until
+    transitions are well-defined on blocks.
 
-    ``merge[i]`` is a list of state groups to merge in layer ``i``
-    (0..n); merging states in one layer may force merges in later layers,
-    which always terminates since partitions only coarsen.  A block accepts
+    ``merge[i]`` is a list of state groups to merge in layer ``i`` (0..n).
+    Transitions only go forward, so layer i's blocks are final once its own
+    groups and the merges forced by layer i-1 are in, and they force merges
+    in layer i+1 only: one pass over the layers in order, with a union-find
+    per layer, reaches the coarsest well-defined partition.  A block accepts
     iff all its reachable member states accept.
     """
     n, w = canonical.n, canonical.w
-    dsus = [_Dsu(w) for _ in range(n + 1)]
-    for i, groups in enumerate(merge):
-        for group in groups:
-            group = list(group)
-            for q in group[1:]:
-                dsus[i].union(group[0], q)
+    if len(merge) > n + 1:
+        raise ParameterError(f"{len(merge)} merge layers for a program of {n + 1} layers")
     reach = canonical.reachable()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            by_block: dict = {}
-            for q in reach[i]:
-                by_block.setdefault(dsus[i].find(q), []).append(q)
-            for members in by_block.values():
-                rep = members[0]
-                for q in members[1:]:
-                    for b in (0, 1):
-                        u = canonical.trans[i][rep][b]
-                        v = canonical.trans[i][q][b]
-                        if dsus[i + 1].union(u, v):
-                            changed = True
-    # dense renumbering of reachable blocks per layer
-    ids: List[dict] = []
+    blocks: List[dict] = []  # per layer: reachable state -> dense block id
+    forced: List[Tuple[int, int]] = []  # pairs layer i-1 merges in layer i
     for i in range(n + 1):
-        layer_ids: dict = {}
-        for q in sorted(reach[i]):
-            r = dsus[i].find(q)
-            if r not in layer_ids:
-                layer_ids[r] = len(layer_ids)
-        ids.append(layer_ids)
-    width = max(len(m) for m in ids)
+        parent = list(range(w))
+        groups = merge[i] if i < len(merge) else ()
+        for a, b in [(g[0], q) for g in groups for q in g[1:]] + forced:
+            parent[_root(parent, b)] = _root(parent, a)
+        roots: dict = {}
+        blocks.append({q: roots.setdefault(_root(parent, q), len(roots)) for q in sorted(reach[i])})
+        if i < n:
+            # each block's states step to the same blocks as its first state
+            first: dict = {}
+            forced = [
+                (first.setdefault((blocks[i][q], b), nxt), nxt)
+                for q in reach[i]
+                for b, nxt in enumerate(canonical.trans[i][q])
+            ]
+    width = max(len(set(ids.values())) for ids in blocks)
     trans = []
     acc = []
     for i in range(n):
         table = [(0, 0)] * width
         for q in reach[i]:
-            src = ids[i][dsus[i].find(q)]
-            table[src] = tuple(
-                ids[i + 1][dsus[i + 1].find(canonical.trans[i][q][b])] for b in (0, 1)
-            )
+            table[blocks[i][q]] = tuple(blocks[i + 1][nxt] for nxt in canonical.trans[i][q])
         trans.append(tuple(table))
-        block_members: dict = {}
-        for q in reach[i + 1]:
-            block_members.setdefault(ids[i + 1][dsus[i + 1].find(q)], []).append(q)
-        acc.append(
-            frozenset(
-                blk
-                for blk, members in block_members.items()
-                if all(q in canonical.acc[i] for q in members)
-            )
-        )
-    return LayeredProgram(n, width, ids[0][dsus[0].find(canonical.q0)], tuple(trans), tuple(acc))
+        ids = blocks[i + 1]
+        acc.append(frozenset(ids.values()) - {ids[q] for q in ids if q not in canonical.acc[i]})
+    return LayeredProgram(n, width, blocks[0][canonical.q0], tuple(trans), tuple(acc))
 
 
 def relabel(p: LayeredProgram, labeler: Callable[[int, int], bool]) -> LayeredProgram:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .bits import BitString, bits_to_int, int_to_bits
 from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
@@ -512,13 +512,6 @@ def interleave(g1: GeneratorSpec, g2: GeneratorSpec) -> Interleave:
     return Interleave(g1, g2)
 
 
-ExtractorFactory = Callable[[int, Fraction], Extractor]
-
-
-def _perfect_factory(n_bits: int, eps_hint: Fraction) -> Extractor:
-    return perfect_extractor(n_bits)
-
-
 def build_swbp_prg(
     n: int,
     t: int,
@@ -526,7 +519,6 @@ def build_swbp_prg(
     base: GeneratorSpec,
     strategy: str,
     rect: Optional[GeneratorSpec] = None,
-    ext_factory: ExtractorFactory = _perfect_factory,
 ) -> Interleave:
     """Full pipeline: stretch the base to n/2 bits twice, then interleave.
 
@@ -546,7 +538,7 @@ def build_swbp_prg(
             raise ParameterError("inw strategy needs n/2t to be a power of two")
         g = base
         while g.blocks < m_half:
-            g = inw_stretch(g, ext_factory(g.d, g.eps_budget))
+            g = inw_stretch(g, perfect_extractor(g.d))
         return interleave(g, g)
     if strategy == "rect":
         if rect is None:

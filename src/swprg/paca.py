@@ -20,7 +20,7 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
+from .errors import CapExceeded, ParameterError, ShapeError
 
 if TYPE_CHECKING:
     import random
@@ -168,6 +168,12 @@ def _check_input(c: Paca, x: Sequence[int]) -> Tuple[int, ...]:
     return x
 
 
+def _check_matrix(c: Paca, x: Tuple[int, ...], matrix: Sequence[Sequence[int]]) -> None:
+    T = c.time_bound
+    if len(matrix) != T or any(len(row) != len(x) for row in matrix):
+        raise ShapeError(f"coin matrix must be {T} x {len(x)}")
+
+
 class AcceptResult(NamedTuple):
     accept: bool
     first_step: Optional[int]
@@ -176,9 +182,8 @@ class AcceptResult(NamedTuple):
 def accepts(c: Paca, x: Sequence[int], matrix: Sequence[Sequence[int]]) -> AcceptResult:
     """C(x, R): scan configurations at steps 0..T-1 for an all-accepting one."""
     x = _check_input(c, x)
+    _check_matrix(c, x, matrix)
     T = c.time_bound
-    if len(matrix) != T or any(len(row) != len(x) for row in matrix):
-        raise ShapeError(f"coin matrix must be {T} x {len(x)}")
     config = x
     for t in range(T):
         if c.config_accepting(config):
@@ -296,7 +301,7 @@ def accepting_steps_of_stream(c: Paca, x: Sequence[int], r: int) -> int:
     step i+1, cell k (counted from 1) reads bit i + (i+k)*T of r, the coin
     that layer (i+k)*T + i of the window sweep of :func:`sliding_sim` uses.
     Steps the n in-bounds cells T times (n*T rule lookups), so it equals
-    evaluating every S_{{s}} on r, in one pass."""
+    evaluating every S_{s} on r, in one pass."""
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     b = c.boundary
@@ -328,12 +333,11 @@ Builder = Callable[[int, Fraction], object]
 
 
 def derandomize_one_sided(
-    c: Paca, x: Sequence[int], eps: Fraction, hsg_builder: Optional[Builder],
-    cap_seeds: int = DEFAULT_CAP_BITS,
+    c: Paca, x: Sequence[int], eps: Fraction, hsg_builder: Optional[Builder]
 ) -> bool:
     """Deterministic decision for a one-sided eps-error PACA.
 
-    Accepts iff step 0 accepts directly or some (t, seed) makes S_{{t}}
+    Accepts iff step 0 accepts directly or some (t, seed) makes S_{t}
     accept the HSG output, with hitting threshold eps/T: that is, iff some
     seed's stream has a non-empty step mask.  eps is the floor on the
     acceptance probability of inputs in the language.  A ``None`` builder
@@ -344,7 +348,7 @@ def derandomize_one_sided(
     if c.config_accepting(x):
         return True
     h = None if hsg_builder is None else hsg_builder((n + T) * T, Fraction(eps) / T)
-    counts, _ = step_vector_counts(c, x, h, cap_seeds)
+    counts, _ = step_vector_counts(c, x, h)
     return any(counts)
 
 
@@ -355,8 +359,7 @@ class TwoSidedResult(NamedTuple):
 
 
 def derandomize_two_sided(
-    c: Paca, x: Sequence[int], eps: Fraction, prg_builder: Optional[Builder],
-    cap_seeds: int = DEFAULT_CAP_BITS,
+    c: Paca, x: Sequence[int], eps: Fraction, prg_builder: Optional[Builder]
 ) -> TwoSidedResult:
     """Inclusion-exclusion estimate of the acceptance probability.
 
@@ -365,15 +368,18 @@ def derandomize_two_sided(
     parameter eps / 2**T); accept iff eta > 1/2.  Step 0 is deterministic
     and handled directly.  Every eta_t is a count of the step masks that
     contain t, over the generator's seeds; one superset-sum transform over
-    the 2**(T-1) step subsets gives them all.  A ``None`` builder takes every
-    coin matrix once, as an exhaustive generator would.
+    the 2**(T-1) step subsets gives them all.  As every term counts the
+    same outcomes, the signed sum counts each outcome once per non-empty
+    step mask (its subsets' signs sum to 1), so eta is the share of
+    outcomes whose mask is not empty.  A ``None`` builder takes every coin
+    matrix once, as an exhaustive generator would.
     """
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     if c.config_accepting(x):
         return TwoSidedResult(True, Fraction(1), {})
     g = None if prg_builder is None else prg_builder((n + T) * T, Fraction(eps) / (1 << T))
-    counts, bits = step_vector_counts(c, x, g, cap_seeds)
+    counts, bits = step_vector_counts(c, x, g)
     # contains[sub]: the outcomes whose step mask contains the steps s with
     # bit s-1 of sub set, by one superset-sum (Yates) transform
     size = 1 << (T - 1)
@@ -386,22 +392,17 @@ def derandomize_two_sided(
             if not sub & bit:
                 contains[sub] += contains[sub | bit]
         bit <<= 1
-    eta_count = 0
     eta_terms: Dict[FrozenSet[int], Fraction] = {}
     steps_of: List[Tuple[int, ...]] = [()] * size  # the steps of each sub
     for sub in range(1, size):
         low = sub & -sub
         steps = steps_of[sub] = steps_of[sub ^ low] + (low.bit_length(),)
-        count = contains[sub]
-        eta_terms[frozenset(steps)] = Fraction(count, 1 << bits)
-        eta_count += count if len(steps) % 2 == 1 else -count
-    eta = Fraction(eta_count, 1 << bits)
+        eta_terms[frozenset(steps)] = Fraction(contains[sub], 1 << bits)
+    eta = 1 - Fraction(counts.get(0, 0), 1 << bits)
     return TwoSidedResult(eta > Fraction(1, 2), eta, eta_terms)
 
 
-def step_vector_counts(
-    c: Paca, x: Tuple[int, ...], g, cap_seeds: int = DEFAULT_CAP_BITS
-) -> Tuple[Dict[int, int], int]:
+def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], int]:
     """Counts of each step mask (the steps 1..T-1 whose configuration is
     all-accepting) over 2**bits equally likely outcomes, and ``bits``.
 
@@ -425,7 +426,7 @@ def step_vector_counts(
         return _step_vector_distribution(c, x)
     steps_mask = (1 << T) - 2
     counts: Dict[int, int] = {}
-    streams, mult = g.output_counts(cap_seeds)
+    streams, mult = g.output_counts()
     for r, k in zip(streams.tolist(), mult.tolist()):
         v = accepting_steps_of_stream(c, x, r) & steps_mask
         counts[v] = counts.get(v, 0) + k
@@ -605,8 +606,10 @@ def check_time_bound(c: Paca, n: int) -> bool:
 
 def spacetime_diagram(c: Paca, x: Sequence[int], matrix: Sequence[Sequence[int]]) -> str:
     """Plain-text grid of configurations for steps 0..T-1 ($ never shown:
-    only in-bounds cells are printed)."""
+    only in-bounds cells are printed).  ``matrix`` is T x n, as in
+    :func:`accepts`."""
     x = _check_input(c, x)
+    _check_matrix(c, x, matrix)
     config = x
     lines = []
     for t in range(c.time_bound):

@@ -22,6 +22,7 @@ from swprg.bp import (
     program_from_json,
     program_to_json,
     quotient_swbp,
+    relabel,
 )
 from swprg.errors import ParameterError, ShapeError
 
@@ -171,6 +172,129 @@ def test_quotient_trivial_merge_is_isomorphic():
     q = quotient_swbp(canon, [[] for _ in range(5)])
     assert acceptance_probability(q) == acceptance_probability(canon)
     assert q.w == canon.w
+
+
+class _Dsu:
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def quotient_by_fixpoint(canonical, merge):
+    """The reference for quotient_swbp: propagate merges over every layer,
+    again and again, until a whole round forces none."""
+    n, w = canonical.n, canonical.w
+    dsus = [_Dsu(w) for _ in range(n + 1)]
+    for i, groups in enumerate(merge):
+        for group in groups:
+            group = list(group)
+            for q in group[1:]:
+                dsus[i].union(group[0], q)
+    reach = canonical.reachable()
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            by_block = {}
+            for q in reach[i]:
+                by_block.setdefault(dsus[i].find(q), []).append(q)
+            for members in by_block.values():
+                rep = members[0]
+                for q in members[1:]:
+                    for b in (0, 1):
+                        u = canonical.trans[i][rep][b]
+                        v = canonical.trans[i][q][b]
+                        if dsus[i + 1].union(u, v):
+                            changed = True
+    ids = []
+    for i in range(n + 1):
+        layer_ids = {}
+        for q in sorted(reach[i]):
+            r = dsus[i].find(q)
+            if r not in layer_ids:
+                layer_ids[r] = len(layer_ids)
+        ids.append(layer_ids)
+    width = max(len(m) for m in ids)
+    trans = []
+    acc = []
+    for i in range(n):
+        table = [(0, 0)] * width
+        for q in reach[i]:
+            src = ids[i][dsus[i].find(q)]
+            table[src] = tuple(
+                ids[i + 1][dsus[i + 1].find(canonical.trans[i][q][b])] for b in (0, 1)
+            )
+        trans.append(tuple(table))
+        block_members = {}
+        for q in reach[i + 1]:
+            block_members.setdefault(ids[i + 1][dsus[i + 1].find(q)], []).append(q)
+        acc.append(
+            frozenset(
+                blk
+                for blk, members in block_members.items()
+                if all(q in canonical.acc[i] for q in members)
+            )
+        )
+    return LayeredProgram(n, width, ids[0][dsus[0].find(canonical.q0)], tuple(trans), tuple(acc))
+
+
+def random_merge_spec(rng, p):
+    """Up to three groups per layer 0..n, of one to three states drawn from
+    all w states (so groups overlap, stand alone, or hold unreachable
+    states); now and then the spec stops short of layer n."""
+    spec = [
+        [rng.sample(range(p.w), rng.randint(1, min(p.w, 3))) for _ in range(rng.randint(0, 3))]
+        for _ in range(p.n + 1)
+    ]
+    return spec[: rng.randint(0, p.n)] if rng.random() < 0.1 else spec
+
+
+def test_quotient_one_pass_matches_fixpoint_reference():
+    rng = random.Random(71)
+    seen = {"unreachable": 0, "overlap": 0, "singleton": 0, "coarsened": 0}
+    for k in range(1200):
+        if k % 2:
+            p = random_program(rng)
+        else:
+            n = rng.randint(1, 8)
+            p, _ = canonical_debruijn_swbp(n, rng.randint(1, min(n, 4)))
+            p = relabel(p, lambda layer, state: rng.random() < 0.8)
+        spec = random_merge_spec(rng, p)
+        assert quotient_swbp(p, spec) == quotient_by_fixpoint(p, spec)
+        reach = p.reachable()
+        for i, groups in enumerate(spec):
+            members = [q for g in groups for q in g]
+            seen["unreachable"] += any(q not in reach[i] for q in members)
+            seen["overlap"] += len(members) > len(set(members))
+            seen["singleton"] += any(len(g) == 1 for g in groups)
+        seen["coarsened"] += quotient_swbp(p, spec).w < quotient_swbp(p, []).w
+    assert min(seen.values()) > 100, seen
+    with pytest.raises(ParameterError):
+        quotient_swbp(p, [[]] * (p.n + 2))
+
+
+def test_sample_swbp_programs_match_fixpoint_reference(monkeypatch):
+    from swprg import lab
+
+    def samples():
+        rng = random.Random(73)
+        return [lab.sample_swbp(rng, rng.randint(2, 8), rng.randint(1, 2)) for _ in range(40)]
+
+    one_pass = samples()
+    monkeypatch.setattr(lab, "quotient_swbp", quotient_by_fixpoint)
+    assert one_pass == samples()
 
 
 def test_pad_program_keeps_probability():

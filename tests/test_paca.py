@@ -427,6 +427,17 @@ def test_two_sided_terms_match_subset_rescan():
     c = sample_paca(rng, 3, 3)
     g = rect_compose(base_exhaustive(3), PairwiseRectangle(4, 3))
     cases.append((c, (min(set(c.sigma) - c.accepting),), g))
+    # Nisan interleaves, whose outputs repeat: the 8-bit one of
+    # test_step_vector_counts_weigh_repeated_streams (n = 2, T = 2) and a
+    # 12-bit one of three blocks per half (n = 1, T = 3)
+    nisan = base_nisan(2, 2, Fraction(1, 4))
+    for blocks, n, T in ((2, 2, 2), (3, 1, 3)):
+        half = rect_compose(nisan, ExhaustiveRectangle(blocks, nisan.d))
+        g = interleave(half, half)
+        assert len(np.unique(g.expand_all())) < 1 << g.d
+        c = sample_paca(rng, 3, T)
+        x = (min(set(c.sigma) - c.accepting),) * n
+        cases.append((c, x, g))
     checked = 0
     for c, x, g in cases:
         result = derandomize_two_sided(c, x, Fraction(1, 8), g and (lambda m, thr: g))
@@ -438,7 +449,7 @@ def test_two_sided_terms_match_subset_rescan():
         assert list(result.eta_terms.items()) == list(terms.items())
         assert result.eta == eta and result.accept == (eta > Fraction(1, 2))
         checked += 1
-    assert checked == 9  # both fixtures, 6 of the 8 samples and the generator case
+    assert checked == 11  # both fixtures, 6 of the 8 samples and the generator cases
 
 
 def test_time_bound_fixtures():
@@ -470,6 +481,20 @@ def test_spacetime_diagram_runs():
     matrix = [[0] * 2 for _ in range(c.time_bound)]
     text = spacetime_diagram(c, x, matrix)
     assert len(text.splitlines()) == c.time_bound
+
+
+def test_spacetime_diagram_and_accepts_refuse_a_matrix_not_t_by_n():
+    c = build_c1()
+    x = (c.sigma[0],) * 2
+    T = c.time_bound
+    short = [[0, 0]] * (T - 2)
+    long = [[0, 0]] * (T + 1)
+    ragged = [[0, 0]] * (T - 1) + [[0]]  # only the unread last row is off
+    for matrix in (short, long, ragged):
+        with pytest.raises(ShapeError, match=f"coin matrix must be {T} x 2"):
+            spacetime_diagram(c, x, matrix)
+        with pytest.raises(ShapeError, match=f"coin matrix must be {T} x 2"):
+            accepts(c, x, matrix)
 
 
 def test_paca_json_roundtrip(tmp_path):
