@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from .bits import BitString, bits_to_int, int_to_bits
 from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
@@ -23,6 +24,19 @@ from .primitives import Extractor, HashFamily, extractor_from_json, perfect_extr
 
 if TYPE_CHECKING:
     import numpy as np
+
+# The most entries of a seed or stream array that a per-seed loop holds as
+# Python ints at once (see :func:`iter_ints`).
+CHUNK = 1 << 12
+
+
+def iter_ints(array: np.ndarray) -> Iterator[int]:
+    """The entries of a 1-D array as Python ints, converted ``CHUNK`` at a
+    time, so a loop over them holds at most ``CHUNK`` ints, not one per
+    entry."""
+    return chain.from_iterable(
+        array[i : i + CHUNK].tolist() for i in range(0, len(array), CHUNK)
+    )
 
 
 class GeneratorSpec:
@@ -49,7 +63,12 @@ class GeneratorSpec:
         raise NotImplementedError
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
-        """Flat outputs, packed into uint64, of a uint64 array of seeds."""
+        """Flat outputs, packed into uint64, of a uint64 array of seeds.
+
+        A node that loops over seeds in Python reads them through
+        :func:`iter_ints`, so it holds at most ``CHUNK`` per-seed Python
+        objects at once whatever the array's length.
+        """
         raise NotImplementedError
 
     def _check_packs(self) -> None:
@@ -228,7 +247,7 @@ class NisanBase(GeneratorSpec):
         levels = range(self.levels, 0, -1)
 
         def flats():
-            for seed in seeds.tolist():
+            for seed in iter_ints(seeds):
                 # unrolled from the top level down: level k puts h_k(v) right
                 # after each word v of the level above
                 words = [seed & ((1 << word) - 1)]
@@ -301,7 +320,7 @@ class PairwiseRectangle(GeneratorSpec):
         blocks = range(self.blocks - 1, -1, -1)
 
         def flats():
-            for s in seeds.tolist():
+            for s in iter_ints(seeds):
                 flat = 0
                 for i in blocks:
                     flat = flat << b | h_eval(s, i)
@@ -386,7 +405,10 @@ class RectCompose(GeneratorSpec):
 
     The rectangle is any generator whose blocks are base seeds.  Budget
     r * eps_base + eps_cr: the telescoping product bound plus the
-    rectangle generator's own error.
+    rectangle generator's own error.  The expansion cuts each block's base
+    seeds into one reused array and ORs each block's outputs into the
+    result in place; its per-seed Python objects are those of the
+    rectangle and base, at most ``CHUNK`` at once.
     """
 
     base: GeneratorSpec
@@ -425,9 +447,14 @@ class RectCompose(GeneratorSpec):
         m, t = self.rect.block_bits, self.base.block_bits
         mask = np.uint64((1 << m) - 1)
         out = np.zeros(len(seeds), dtype=np.uint64)
+        block = np.empty_like(out)  # the base seeds of one block, reused
         for i in range(self.blocks):
-            block_seeds = (rect_out >> np.uint64(i * m)) & mask
-            out |= _expand_part(self.base, block_seeds) << np.uint64(i * t)
+            np.right_shift(rect_out, np.uint64(i * m), out=block)
+            block &= mask
+            # a fresh gather, or ``block`` itself, which the next block rewrites
+            part = _expand_part(self.base, block)
+            part <<= np.uint64(i * t)
+            out |= part
         return out
 
     def to_json(self) -> dict:

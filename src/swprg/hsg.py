@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .errors import DEFAULT_CAP_BITS, ParameterError
+from .errors import DEFAULT_CAP_BITS, ConfigurationError, ParameterError
 from .generators import (
     GeneratorSpec,
     Interleave,
@@ -110,8 +110,35 @@ def build_swbp_hsg(
     return hsg_interleave(half, half)
 
 
+def _derive(kind: str, carrier: GeneratorSpec) -> HsgSpec:
+    """The HSG of ``kind`` over ``carrier``, its threshold set by the kind's
+    rule on parts built as :func:`build_swbp_hsg` builds them: a rectangle
+    composition is over a PRG-as-HSG base, and an interleave's halves are
+    such compositions or PRGs as HSGs."""
+    if kind == "prg_as_hsg":
+        return from_prg(carrier)
+    if kind == "hsg_rect" and isinstance(carrier, RectCompose):
+        return hsg_rect_compose(from_prg(carrier.base), carrier.rect)
+    if kind == "hsg_interleave" and isinstance(carrier, Interleave):
+        h1, h2 = (
+            _derive("hsg_rect" if isinstance(half, RectCompose) else "prg_as_hsg", half)
+            for half in (carrier.g1, carrier.g2)
+        )
+        return hsg_interleave(h1, h2)
+    raise ParameterError(f"an {kind} HSG cannot be carried by a {type(carrier).__name__}")
+
+
 def hsg_from_json(data: dict) -> HsgSpec:
+    """Rebuild an HSG from its JSON.  The threshold is derived from the
+    carrier by the rule of ``kind``; a stated threshold that differs is
+    refused with :class:`ConfigurationError`."""
     kind = data["kind"]
-    if kind in ("prg_as_hsg", "hsg_rect", "hsg_interleave"):
-        return HsgSpec(generator_from_json(data["carrier"]), Fraction(data["threshold"]), kind)
-    raise ParameterError(f"unknown hsg kind {kind!r}")
+    if kind not in ("prg_as_hsg", "hsg_rect", "hsg_interleave"):
+        raise ParameterError(f"unknown hsg kind {kind!r}")
+    h = _derive(kind, generator_from_json(data["carrier"]))
+    if Fraction(data["threshold"]) != h.threshold:
+        raise ConfigurationError(
+            f"threshold {data['threshold']} is not the {h.threshold} that the "
+            f"{kind} rule derives from the carrier"
+        )
+    return h

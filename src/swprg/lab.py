@@ -67,16 +67,6 @@ def batch_evaluate(p: LayeredProgram, inputs: np.ndarray) -> np.ndarray:
     return alive
 
 
-def acceptance_probability_bruteforce(p: LayeredProgram) -> Fraction:
-    """Second oracle: enumerate every input instead of running the DP."""
-    if p.n > DEFAULT_CAP_BITS:
-        raise CapExceeded(
-            f"input enumeration needs 2**{p.n} evaluations (cap {DEFAULT_CAP_BITS})", p.n
-        )
-    inputs = np.arange(1 << p.n, dtype=np.uint64)
-    return Fraction(int(batch_evaluate(p, inputs).sum()), 1 << p.n)
-
-
 def _check_width(g, p: LayeredProgram) -> None:
     """Refuse a generator whose outputs are not as long as ``p``'s inputs."""
     if g.flat_bits != p.n:

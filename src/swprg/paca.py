@@ -225,16 +225,6 @@ def accept_probability_bruteforce(c: Paca, x: Sequence[int]) -> Fraction:
 # --- sliding-window simulation ------------------------------------------------------
 
 
-def stream_to_matrix(r: int, n: int, T: int) -> List[List[int]]:
-    """R(i, j) = r(i + j*T): column j holds the bits of outer iteration j."""
-    return [[(r >> (i + j * T)) & 1 for j in range(n + T)] for i in range(T)]
-
-
-def derived_matrix(R: Sequence[Sequence[int]], n: int, T: int) -> List[List[int]]:
-    """R'(i, j) = R(i, i + j + 1): the coins actually fed to the automaton."""
-    return [[R[i][i + j + 1] for j in range(n)] for i in range(T)]
-
-
 def sliding_sim(c: Paca, x: Sequence[int], t_set) -> LayeredProgram:
     """The stream program S_{t_set} over m = (n+T)*T random bits.
 
@@ -411,11 +401,14 @@ def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], 
     outcomes are the coin matrices of the configuration chain that
     :func:`exact_accept_probability` reads too, in the same proportions;
     for any other generator they are its seeds: each distinct stream is
-    swept once and weighted by how many seeds emit it.
+    swept once and weighted by how many seeds emit it.  The streams and
+    their weights are read as Python ints a chunk at a time
+    (:func:`generators.iter_ints`), so the sweep holds at most ``CHUNK``
+    of them at once.
     """
     if g is None:
         return _step_vector_distribution(c, x)
-    from .generators import Exhaustive  # loaded already by whoever built g
+    from .generators import Exhaustive, iter_ints  # loaded already by whoever built g
     from .hsg import HsgSpec
 
     n, T = len(x), c.time_bound
@@ -427,7 +420,7 @@ def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], 
     steps_mask = (1 << T) - 2
     counts: Dict[int, int] = {}
     streams, mult = g.output_counts()
-    for r, k in zip(streams.tolist(), mult.tolist()):
+    for r, k in zip(iter_ints(streams), iter_ints(mult)):
         v = accepting_steps_of_stream(c, x, r) & steps_mask
         counts[v] = counts.get(v, 0) + k
     return counts, g.d

@@ -37,7 +37,6 @@ from swprg.generators import (
 from swprg.hsg import build_swbp_hsg, hsg_exhaustive
 from swprg.lab import (
     MaskFamily,
-    acceptance_probability_bruteforce,
     batch_evaluate,
     concat_families,
     fooling_error,
@@ -56,6 +55,7 @@ from swprg.paca import (
     step,
 )
 from swprg.primitives import perfect_extractor
+from test_lab import acceptance_probability_bruteforce
 
 
 def report(num, ok, detail):

@@ -163,6 +163,15 @@ def test_verify_hit(tmp_path):
     assert work == {"seeds_expanded": (1 << halves.g1.d) + (1 << halves.g2.d),
                     "distinct_outputs": 1 << h.d, "seed_layer_evals": 8 << h.d,
                     "programs_counted": 32}
+    # a stated threshold other than the derived 0 is refused; trusted, "1"
+    # would require only 1 of the family's 8,192 programs to be hit
+    config["hsg"]["threshold"] = "1"
+    config["family"]["budget_bits"] = 13
+    refused = tmp_path / "refused"
+    refused.mkdir()
+    code, out = run(refused, "verify-hit", config)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_window_check_certificate_and_violation(tmp_path):

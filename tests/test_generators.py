@@ -7,6 +7,7 @@ import pytest
 from swprg.bits import bits_to_int
 from swprg.errors import CapExceeded, ParameterError, ShapeError
 from swprg.generators import (
+    CHUNK,
     ExhaustiveRectangle,
     PairwiseRectangle,
     base_exhaustive,
@@ -292,6 +293,38 @@ def test_expand_all_matches_expand_int_everywhere():
         "exhaustive", "exhaustive_rect", "nisan", "pairwise_rect", "inw",
         "rect_compose", "interleave", *HSG_KINDS,
     }
+
+
+def expand_by_eval(g, seed):
+    """Per-seed reference of a pairwise rectangle or a Nisan base: its output
+    on one seed from ``hash_family.eval`` calls, one per hash value."""
+    fam = g.hash_family
+    if isinstance(g, PairwiseRectangle):
+        return sum(fam.eval(seed, i) << (i * g.block_bits) for i in range(g.blocks))
+    word, hbits = g.word, fam.seed_bits
+
+    def words(k, v):  # the words of level k started from word v
+        if k == 0:
+            return [v]
+        h = (seed >> (word + (k - 1) * hbits)) & ((1 << hbits) - 1)
+        return words(k - 1, v) + words(k - 1, fam.eval(h, v))
+
+    start = seed & ((1 << word) - 1)
+    return sum(v << (i * word) for i, v in enumerate(words(g.levels, start)))
+
+
+def test_expand_seeds_across_chunk_boundaries():
+    # the per-seed loops convert seeds CHUNK at a time; arrays of every
+    # length around a chunk boundary, in no order, give each seed's output
+    rng = np.random.default_rng(67)
+    gens = [PairwiseRectangle(8, 4), PairwiseRectangle(3, 5),
+            base_nisan(8, 8, Fraction(1, 4), levels=2), base_nisan(4, 2, Fraction(1, 4))]
+    for g in gens:
+        for length in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+            seeds = rng.integers(0, 1 << g.d, size=length, dtype=np.uint64)
+            got = g.expand_seeds(seeds)
+            assert got.dtype == np.uint64 and len(got) == length
+            assert got.tolist() == [expand_by_eval(g, s) for s in seeds.tolist()], (g, length)
 
 
 def _count_pairs(values, counts):

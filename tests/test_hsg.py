@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from swprg.bp import LayeredProgram, acceptance_probability
-from swprg.errors import ParameterError, ShapeError
+from swprg.errors import ConfigurationError, ParameterError, ShapeError
 from swprg.generators import (
     ExhaustiveRectangle,
+    PairwiseRectangle,
     base_exhaustive,
     base_nisan,
     build_swbp_prg,
@@ -88,3 +89,26 @@ def test_hsg_json_roundtrip():
     assert back.carrier == h.carrier
     assert back.threshold == h.threshold
     assert back.kind == h.kind
+
+
+def test_hsg_from_json_derives_the_threshold():
+    nisan = from_prg(with_measured_error(base_nisan(2, 2, Fraction(1, 4)), Fraction(1, 16)))
+    rect = hsg_rect_compose(nisan, PairwiseRectangle(4, nisan.d, Fraction(1, 8)))
+    cases = {
+        nisan: Fraction(1, 16),
+        rect: 2 * max(4 * Fraction(1, 16), Fraction(1, 8)),
+        hsg_interleave(nisan, nisan): Fraction(1, 8),
+        hsg_interleave(rect, rect): 1,
+        build_swbp_hsg(16, 2, 4, nisan): 2 * 2 * (4 * Fraction(1, 16)),
+        build_swbp_hsg(8, 2, 4, hsg_exhaustive(2)): 0,
+    }
+    for h, threshold in cases.items():
+        data = json.loads(json.dumps(h.to_json()))
+        assert hsg_from_json(data) == h and h.threshold == threshold
+        for wrong in (threshold - Fraction(1, 64), threshold + Fraction(1, 64)):
+            with pytest.raises(ConfigurationError, match="rule derives"):
+                hsg_from_json({**data, "threshold": str(wrong)})
+    # a kind whose rule does not fit its carrier
+    for kind in ("hsg_rect", "hsg_interleave"):
+        with pytest.raises(ParameterError, match="cannot be carried"):
+            hsg_from_json({**hsg_exhaustive(2).to_json(), "kind": kind})

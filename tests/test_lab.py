@@ -19,7 +19,9 @@ from swprg.bp import (
     evaluate_int,
     program_to_json,
 )
-from swprg.errors import CapExceeded, ConfigurationError, ParameterError, ShapeError
+from swprg.errors import (
+    DEFAULT_CAP_BITS, CapExceeded, ConfigurationError, ParameterError, ShapeError,
+)
 from swprg import generators
 from swprg.generators import (
     Exhaustive,
@@ -33,7 +35,6 @@ from swprg.generators import (
 from swprg.hsg import hsg_exhaustive, hsg_interleave
 from swprg.lab import (
     MaskFamily,
-    acceptance_probability_bruteforce,
     batch_evaluate,
     concat_families,
     enumerate_swbp_family,
@@ -45,6 +46,17 @@ from swprg.lab import (
     sample_swbp,
     swbp_family,
 )
+
+
+def acceptance_probability_bruteforce(p):
+    """Second oracle for bp.acceptance_probability: enumerate every input
+    instead of running the DP."""
+    if p.n > DEFAULT_CAP_BITS:
+        raise CapExceeded(
+            f"input enumeration needs 2**{p.n} evaluations (cap {DEFAULT_CAP_BITS})", p.n
+        )
+    inputs = np.arange(1 << p.n, dtype=np.uint64)
+    return Fraction(int(batch_evaluate(p, inputs).sum()), 1 << p.n)
 
 
 class ConstantGen:

@@ -1,8 +1,10 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ import pytest
 from swprg.bp import acceptance_probability, check_window, evaluate_int, WindowCertificate
 from swprg.errors import ParameterError, ShapeError
 from swprg.generators import (
+    CHUNK,
     ExhaustiveRectangle,
     PairwiseRectangle,
     base_exhaustive,
     base_nisan,
+    generator_from_json,
     interleave,
     rect_compose,
 )
@@ -29,7 +33,6 @@ from swprg.paca import (
     check_time_bound,
     derandomize_one_sided,
     derandomize_two_sided,
-    derived_matrix,
     exact_accept_probability,
     load_paca,
     paca_from_json,
@@ -39,7 +42,6 @@ from swprg.paca import (
     spacetime_diagram,
     step,
     step_vector_counts,
-    stream_to_matrix,
     successors,
 )
 
@@ -172,6 +174,16 @@ def test_sliding_sim_rejects_bad_t_set():
         sliding_sim(c, (1, 1), set())
     with pytest.raises(ParameterError):
         sliding_sim(c, (1, 1), {5})
+
+
+def stream_to_matrix(r, n, T):
+    """R(i, j) = r(i + j*T): column j holds the bits of outer iteration j."""
+    return [[(r >> (i + j * T)) & 1 for j in range(n + T)] for i in range(T)]
+
+
+def derived_matrix(R, n, T):
+    """R'(i, j) = R(i, i + j + 1): the coins actually fed to the automaton."""
+    return [[R[i][i + j + 1] for j in range(n)] for i in range(T)]
 
 
 def test_sliding_sim_equivalence_exhaustive_small():
@@ -361,6 +373,56 @@ def test_step_vector_counts_weigh_repeated_streams():
             assert (counts, bits) == (dict(per_seed), g.d)
             masks.update(counts)
     assert masks == {0, 0b10}
+
+
+def step_vector_counts_by_lists(c, x, g):
+    """Reference: the generator path of step_vector_counts with every
+    distinct stream and its weight listed as Python ints at once."""
+    steps_mask = (1 << c.time_bound) - 2
+    counts = {}
+    streams, mult = g.output_counts()
+    for r, k in zip(streams.tolist(), mult.tolist()):
+        v = accepting_steps_of_stream(c, x, r) & steps_mask
+        counts[v] = counts.get(v, 0) + k
+    return counts, g.d
+
+
+def test_step_vector_counts_across_chunk_boundaries():
+    # a Nisan base maps its 8 seeds onto 4 outputs, so the 7,744 distinct
+    # 32-bit streams (n = 4, T = 4) carry unequal weights across two chunks
+    nisan = base_nisan(2, 2, Fraction(1, 4))
+    g = rect_compose(nisan, PairwiseRectangle(16, nisan.d))
+    streams, mult = g.output_counts()
+    assert CHUNK < len(streams) < 2 * CHUNK and len(set(mult.tolist())) > 1
+    rng = random.Random(71)
+    masks = set()
+    for _ in range(3):
+        c = sample_paca(rng, 3, 4)
+        x = tuple(rng.choice(sorted(set(c.sigma) - c.accepting) or c.sigma) for _ in range(4))
+        counts, bits = step_vector_counts(c, x, g)
+        assert (counts, bits) == step_vector_counts_by_lists(c, x, g)
+        assert sum(counts.values()) == 1 << g.d
+        masks.update(counts)
+    assert len(masks) > 1
+
+
+def test_step_vector_counts_memory_is_bounded_by_the_chunk():
+    # perfbench's d = 16 generator: 2**16 distinct streams, swept with at
+    # most CHUNK of them as Python ints at once; listing them all at once
+    # peaks at about 4 MiB
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "paca-gen.json"
+    g = generator_from_json(json.loads(config.read_text()))
+    c = sample_paca(random.Random(7), 3, 4)
+    x = (min(set(c.sigma) - c.accepting),) * 4  # (4 + 4) * 4 = 32 stream bits
+    g.expand_all()  # cached, as the derandomizer's later calls find it
+    tracemalloc.start()
+    try:
+        counts, bits = step_vector_counts(c, x, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.d == 16 and sum(counts.values()) == 1 << 16
+    assert peak < 3 << 20, peak
 
 
 def test_derandomize_two_sided_exhaustive_equals_exact():
