@@ -43,10 +43,12 @@ class LayeredProgram:
         for i, table in enumerate(self.trans):
             if len(table) != self.w:
                 raise ParameterError(f"layer {i + 1} table has wrong size")
-            for pair in table:
-                for q in pair:
-                    if not 0 <= q < self.w:
+            try:
+                for on0, on1 in table:
+                    if not (0 <= on0 < self.w and 0 <= on1 < self.w):
                         raise ParameterError(f"layer {i + 1} transition leaves the state set")
+            except (TypeError, ValueError):
+                raise ParameterError(f"layer {i + 1} transition is not a pair of states") from None
         for i, a in enumerate(self.acc):
             if not a <= frozenset(range(self.w)):
                 raise ParameterError(f"layer {i + 1} accepting set leaves the state set")

@@ -114,22 +114,12 @@ def cmd_window_check(config: dict, out_dir: Path, args) -> int:
     p = bp.load_program(config["program"])
     result = bp.check_window(p, config["t"])
     if isinstance(result, bp.WindowCertificate):
-        payload = {
-            "result": "certificate",
-            "t": result.t,
-            "alphas": [list(a) for a in result.alphas],
-        }
-        _write(out_dir, "window.json", payload, config)
-        return EXIT_PASS
-    payload = {
-        "result": "violation",
-        "layer": result.layer,
-        "q": result.q,
-        "q_prime": result.q_prime,
-        "word": list(result.word),
-    }
+        payload = {"result": "certificate", "t": result.t, "alphas": list(map(list, result.alphas))}
+    else:
+        payload = {"result": "violation", "layer": result.layer, "q": result.q,
+                   "q_prime": result.q_prime, "word": list(result.word)}
     _write(out_dir, "window.json", payload, config)
-    return EXIT_FAIL
+    return EXIT_PASS if payload["result"] == "certificate" else EXIT_FAIL
 
 
 def _load_paca(config: dict) -> Paca:

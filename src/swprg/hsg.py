@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Set, Tuple
 
 from .errors import DEFAULT_CAP_BITS, ConfigurationError, ParameterError
 from .generators import (
@@ -110,35 +110,32 @@ def build_swbp_hsg(
     return hsg_interleave(half, half)
 
 
-def _derive(kind: str, carrier: GeneratorSpec) -> HsgSpec:
-    """The HSG of ``kind`` over ``carrier``, its threshold set by the kind's
-    rule on parts built as :func:`build_swbp_hsg` builds them: a rectangle
-    composition is over a PRG-as-HSG base, and an interleave's halves are
-    such compositions or PRGs as HSGs."""
-    if kind == "prg_as_hsg":
-        return from_prg(carrier)
-    if kind == "hsg_rect" and isinstance(carrier, RectCompose):
-        return hsg_rect_compose(from_prg(carrier.base), carrier.rect)
-    if kind == "hsg_interleave" and isinstance(carrier, Interleave):
-        h1, h2 = (
-            _derive("hsg_rect" if isinstance(half, RectCompose) else "prg_as_hsg", half)
-            for half in (carrier.g1, carrier.g2)
-        )
-        return hsg_interleave(h1, h2)
-    raise ParameterError(f"an {kind} HSG cannot be carried by a {type(carrier).__name__}")
+def _readings(carrier: GeneratorSpec) -> Set[HsgSpec]:
+    """Every HSG the combinators build over ``carrier``: the PRG as an HSG, a
+    rectangle composition over each reading of its base, and an interleave
+    of each pair of readings of its halves.  Equal readings collapse."""
+    found = {from_prg(carrier)}
+    if isinstance(carrier, RectCompose):
+        found |= {hsg_rect_compose(b, carrier.rect) for b in _readings(carrier.base)}
+    elif isinstance(carrier, Interleave):
+        firsts, seconds = _readings(carrier.g1), _readings(carrier.g2)
+        found |= {hsg_interleave(h1, h2) for h1 in firsts for h2 in seconds}
+    return found
 
 
 def hsg_from_json(data: dict) -> HsgSpec:
-    """Rebuild an HSG from its JSON.  The threshold is derived from the
-    carrier by the rule of ``kind``; a stated threshold that differs is
-    refused with :class:`ConfigurationError`."""
-    kind = data["kind"]
-    if kind not in ("prg_as_hsg", "hsg_rect", "hsg_interleave"):
-        raise ParameterError(f"unknown hsg kind {kind!r}")
-    h = _derive(kind, generator_from_json(data["carrier"]))
-    if Fraction(data["threshold"]) != h.threshold:
+    """Rebuild an HSG from its JSON: the reading of the carrier (see
+    :func:`_readings`) of the stated ``kind`` and threshold.  A kind no
+    reading has is refused with :class:`ParameterError`, a threshold no
+    reading of that kind derives with :class:`ConfigurationError`."""
+    kind, threshold = data["kind"], Fraction(data["threshold"])
+    carrier = generator_from_json(data["carrier"])
+    derived = sorted({h.threshold for h in _readings(carrier) if h.kind == kind})
+    if not derived:
+        raise ParameterError(f"a {kind!r} HSG cannot be carried by a {type(carrier).__name__}")
+    if threshold not in derived:
         raise ConfigurationError(
-            f"threshold {data['threshold']} is not the {h.threshold} that the "
-            f"{kind} rule derives from the carrier"
+            f"threshold {data['threshold']} is none of the thresholds "
+            f"{', '.join(map(str, derived))} that the {kind} rule derives from the carrier"
         )
-    return h
+    return HsgSpec(carrier, threshold, kind)

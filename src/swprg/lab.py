@@ -9,7 +9,6 @@ Enumeration costs are guarded by explicit caps and the harness refuses
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -75,16 +74,15 @@ def _check_width(g, p: LayeredProgram) -> None:
 
 def _check_class(g, p: LayeredProgram) -> None:
     """Refuse a program outside the class where ``g``'s budget is argued: an
-    interleave, alone or as an HSG's carrier, pays 2*max only for windows of
-    at most its ``block_bits``.  The window depends only on the transitions,
-    which a family's members share with its base, so the base decides."""
-    node = g.carrier if isinstance(g, HsgSpec) else g
-    if not isinstance(node, Interleave):
+    interleave pays 2*max only for windows of at most its ``block_bits``.
+    The window depends only on the transitions, which a family's members
+    share with its base, so the base decides."""
+    if not isinstance(g, Interleave):
         return
-    result = check_window(p, min(node.block_bits, p.n))
+    result = check_window(p, min(g.block_bits, p.n))
     if isinstance(result, WindowViolation):
         raise ConfigurationError(
-            f"interleave budget holds for window <= block_bits={node.block_bits}; the "
+            f"interleave budget holds for window <= block_bits={g.block_bits}; the "
             f"programs are not: states {result.q} and {result.q_prime} of layer "
             f"{result.layer} disagree after {list(result.word)}"
         )
@@ -321,12 +319,11 @@ class _Counts:
 
 
 def _seeds_expanded(g) -> int:
-    """The seeds ``g.output_counts`` expands: an interleave, alone or as an
-    HSG's carrier, expands each half on its own seeds."""
-    node = g.carrier if isinstance(g, HsgSpec) else g
-    if isinstance(node, Interleave):
-        return _seeds_expanded(node.g1) + _seeds_expanded(node.g2)
-    return 1 << node.d
+    """The seeds ``g.output_counts`` expands: an interleave expands each half
+    on its own seeds."""
+    if isinstance(g, Interleave):
+        return _seeds_expanded(g.g1) + _seeds_expanded(g.g2)
+    return 1 << g.d
 
 
 def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
@@ -337,8 +334,9 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
     class (ConfigurationError).
 
     ``programs`` is a family, or a sequence of families and single programs
-    whose programs are numbered one after another.
+    whose programs are numbered one after another.  An HSG counts as its carrier.
     """
+    g = g.carrier if isinstance(g, HsgSpec) else g
     if isinstance(programs, MaskFamily):
         programs = [programs]
     families = [f if isinstance(f, MaskFamily) else MaskFamily(f) for f in programs]

@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import (
-    TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from .errors import CapExceeded, ParameterError, ShapeError
@@ -168,10 +169,18 @@ def _check_input(c: Paca, x: Sequence[int]) -> Tuple[int, ...]:
     return x
 
 
-def _check_matrix(c: Paca, x: Tuple[int, ...], matrix: Sequence[Sequence[int]]) -> None:
-    T = c.time_bound
-    if len(matrix) != T or any(len(row) != len(x) for row in matrix):
-        raise ShapeError(f"coin matrix must be {T} x {len(x)}")
+def _configurations(
+    c: Paca, x: Sequence[int], matrix: Sequence[Sequence[int]]
+) -> Iterator[Configuration]:
+    """The configurations at steps 0..T-1 on ``x``, row t of the T x n coin
+    ``matrix`` making step t+1; checks both up front, then steps lazily."""
+    config, T = _check_input(c, x), c.time_bound
+    if len(matrix) != T or any(len(row) != len(config) for row in matrix):
+        raise ShapeError(f"coin matrix must be {T} x {len(config)}")
+    yield config
+    for row in matrix[: T - 1]:
+        config = step(c, config, row)
+        yield config
 
 
 class AcceptResult(NamedTuple):
@@ -181,15 +190,9 @@ class AcceptResult(NamedTuple):
 
 def accepts(c: Paca, x: Sequence[int], matrix: Sequence[Sequence[int]]) -> AcceptResult:
     """C(x, R): scan configurations at steps 0..T-1 for an all-accepting one."""
-    x = _check_input(c, x)
-    _check_matrix(c, x, matrix)
-    T = c.time_bound
-    config = x
-    for t in range(T):
+    for t, config in enumerate(_configurations(c, x, matrix)):
         if c.config_accepting(config):
             return AcceptResult(True, t)
-        if t < T - 1:
-            config = step(c, config, matrix[t])
     return AcceptResult(False, None)
 
 
@@ -247,7 +250,6 @@ def sliding_sim(c: Paca, x: Sequence[int], t_set) -> LayeredProgram:
     b = c.boundary
     start = ((b,) * T, (b,) * T, b)
     layer_states: List[Tuple] = [start]
-    index = {start: 0}
     trans: List[List[Tuple[int, int]]] = []
     acc: List[set] = []
     for layer in range(m):
@@ -279,7 +281,6 @@ def sliding_sim(c: Paca, x: Sequence[int], t_set) -> LayeredProgram:
         trans.append(table)
         acc.append(nxt_acc)
         layer_states = nxt_states
-        index = nxt_index
     w = max(max(len(tbl) for tbl in trans), len(layer_states), 1)
     padded = tuple(tuple(tbl) + ((0, 0),) * (w - len(tbl)) for tbl in trans)
     return LayeredProgram(m, w, 0, padded, tuple(frozenset(a) for a in acc))
@@ -601,16 +602,10 @@ def spacetime_diagram(c: Paca, x: Sequence[int], matrix: Sequence[Sequence[int]]
     """Plain-text grid of configurations for steps 0..T-1 ($ never shown:
     only in-bounds cells are printed).  ``matrix`` is T x n, as in
     :func:`accepts`."""
-    x = _check_input(c, x)
-    _check_matrix(c, x, matrix)
-    config = x
-    lines = []
-    for t in range(c.time_bound):
-        mark = "*" if c.config_accepting(config) else " "
-        lines.append(f"t={t:3d} {mark} " + " ".join(str(s) for s in config))
-        if t < c.time_bound - 1:
-            config = step(c, config, matrix[t])
-    return "\n".join(lines)
+    return "\n".join(
+        f"t={t:3d} {'*' if c.config_accepting(config) else ' '} " + " ".join(map(str, config))
+        for t, config in enumerate(_configurations(c, x, matrix))
+    )
 
 
 def paca_to_json(c: Paca) -> dict:

@@ -210,12 +210,16 @@ class Extractor:
 
 
 def extractor_from_json(data: dict) -> Extractor:
-    if data["kind"] == "perfect":
-        return perfect_extractor(data["n"])
-    return Extractor(
-        "cayley", data["n"], data["d"], data["k"], Fraction(data["eps"]),
-        tuple(data["generators"]), Fraction(data["bias"]),
-    )
+    """The inverse of ``Extractor.to_json``; refuses unknown kinds and bad generator lists."""
+    kind, n = data["kind"], data["n"]
+    if kind == "perfect":
+        return perfect_extractor(n)
+    if kind != "cayley":
+        raise ParameterError(f"unknown extractor kind {kind!r}")
+    d, gens = data["d"], tuple(data["generators"])
+    if len(gens) != 1 << d or not all(0 <= v < 1 << n for v in gens):
+        raise ShapeError(f"a Cayley extractor needs 2**{d} generators in [0, 2**{n})")
+    return Extractor(kind, n, d, data["k"], Fraction(data["eps"]), gens, Fraction(data["bias"]))
 
 
 def perfect_extractor(n: int) -> Extractor:
@@ -254,8 +258,7 @@ def cayley_extractor(
     # eps = beta * 2**ceil(deficiency/2) / 2 and the construction guarantees
     # beta <= (n-1)/2**ell
     beta_target = 2 * target_eps / (1 << ((deficiency + 1) // 2))
-    need = Fraction(max(n - 1, 1)) / beta_target
-    ell = max(1, math.ceil(math.log2(float(need)))) if need > 1 else 1
+    ell = 1
     while Fraction(max(n - 1, 1), 1 << ell) > beta_target:
         ell += 1
     if 2 * ell > max_seed_bits:

@@ -13,6 +13,7 @@ import swprg
 from swprg import bp, generators, hsg
 from swprg.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from swprg.paca import Paca, build_c1, paca_to_json
+from swprg.primitives import cayley_extractor
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -170,6 +171,46 @@ def test_verify_hit(tmp_path):
     refused = tmp_path / "refused"
     refused.mkdir()
     code, out = run(refused, "verify-hit", config)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_verify_hit_reads_a_hsg_of_prg_halves(tmp_path):
+    rc = generators.rect_compose(
+        generators.base_exhaustive(2), generators.PairwiseRectangle(2, 2, Fraction(1, 8))
+    )
+    h = hsg.hsg_interleave(hsg.from_prg(rc), hsg.from_prg(rc))
+    assert h.threshold == Fraction(1, 4)
+    config = {"hsg": h.to_json(), "family": {"n": 8, "t": 2, "budget_bits": 8}}
+    code, out = run(tmp_path, "verify-hit", config)
+    assert code == EXIT_PASS
+    payload = json.loads((out / "hitting.json").read_text())
+    assert payload["passed"] and payload["threshold"] == "1/4"
+
+
+@pytest.mark.parametrize("entry", [[0], [0, 1, 0], 0], ids=["one", "three", "int"])
+def test_window_check_refuses_a_transition_that_is_not_a_pair(tmp_path, entry):
+    p, _ = bp.canonical_debruijn_swbp(6, 2)
+    data = bp.program_to_json(p)
+    data["layers"][0]["trans"][p.q0] = entry  # on a reachable state
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(json.dumps(data))
+    code, out = run(tmp_path, "window-check", {"program": str(prog_path), "t": 2})
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"generators": [1]},
+    {"generators": [0, 1, 2, 4]},
+    {"kind": "caley"},
+], ids=["short", "out-of-range", "kind"])
+def test_gen_refuses_a_malformed_extractor(tmp_path, change):
+    g = generators.inw_stretch(generators.base_exhaustive(2), cayley_extractor(2, 2, Fraction(1, 2)))
+    spec = g.to_json()
+    assert len(spec["extractor"]["generators"]) == 4
+    spec["extractor"].update(change)
+    code, out = run(tmp_path, "gen", {"generator": spec, "dump": True})
     assert code == EXIT_CONFIG
     assert not out.exists()
 

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from swprg.generators import (
     base_exhaustive,
     base_nisan,
     build_swbp_prg,
+    interleave,
+    rect_compose,
     with_measured_error,
 )
 from swprg.hsg import (
@@ -93,6 +96,7 @@ def test_hsg_json_roundtrip():
 
 def test_hsg_from_json_derives_the_threshold():
     nisan = from_prg(with_measured_error(base_nisan(2, 2, Fraction(1, 4)), Fraction(1, 16)))
+    found = rect_compose(base_exhaustive(2), PairwiseRectangle(2, 2, Fraction(1, 8)))
     rect = hsg_rect_compose(nisan, PairwiseRectangle(4, nisan.d, Fraction(1, 8)))
     cases = {
         nisan: Fraction(1, 16),
@@ -101,6 +105,8 @@ def test_hsg_from_json_derives_the_threshold():
         hsg_interleave(rect, rect): 1,
         build_swbp_hsg(16, 2, 4, nisan): 2 * 2 * (4 * Fraction(1, 16)),
         build_swbp_hsg(8, 2, 4, hsg_exhaustive(2)): 0,
+        # the halves are PRGs as HSGs over a rectangle composition
+        hsg_interleave(from_prg(found), from_prg(found)): Fraction(1, 4),
     }
     for h, threshold in cases.items():
         data = json.loads(json.dumps(h.to_json()))
@@ -112,3 +118,43 @@ def test_hsg_from_json_derives_the_threshold():
     for kind in ("hsg_rect", "hsg_interleave"):
         with pytest.raises(ParameterError, match="cannot be carried"):
             hsg_from_json({**hsg_exhaustive(2).to_json(), "kind": kind})
+
+
+def combinator_readings(base, rect):
+    """Every HSG the combinators build over ``rect_compose(base, rect)`` and
+    over the interleave of two of them."""
+    rc = rect_compose(base, rect)
+    halves = [from_prg(rc), hsg_rect_compose(from_prg(base), rect)]
+    whole = [from_prg(interleave(rc, rc))] + [hsg_interleave(a, b) for a in halves for b in halves]
+    return halves + whole
+
+
+def test_hsg_from_json_reads_every_combinator_reading():
+    nisan = with_measured_error(base_nisan(2, 2, Fraction(1, 4)), Fraction(1, 16))
+    for base in (base_exhaustive(2), nisan):
+        for rect in (ExhaustiveRectangle(2, base.d), PairwiseRectangle(2, base.d, Fraction(1, 8))):
+            readings = combinator_readings(base, rect)
+            for h in readings:
+                data = json.loads(json.dumps(h.to_json()))
+                assert hsg_from_json(data) == h
+                derived = {r.threshold for r in readings if (r.carrier, r.kind) == (h.carrier, h.kind)}
+                for wrong in (h.threshold - Fraction(1, 64), h.threshold + Fraction(1, 64)):
+                    assert wrong not in derived
+                    with pytest.raises(ConfigurationError, match="rule derives"):
+                        hsg_from_json({**data, "threshold": str(wrong)})
+
+
+def test_hsg_from_json_reads_deep_interleaves_quickly():
+    pairwise = PairwiseRectangle(2, 2, Fraction(1, 8))
+    leaves = (
+        hsg_exhaustive(1),  # depth 6 makes 64 bits
+        from_prg(rect_compose(base_exhaustive(2), pairwise)),
+        hsg_rect_compose(hsg_exhaustive(2), pairwise),
+    )
+    for h in leaves:
+        for _ in range(6):
+            h = hsg_interleave(h, h)
+        data = json.loads(json.dumps(h.to_json()))
+        start = time.perf_counter()
+        assert hsg_from_json(data) == h
+        assert time.perf_counter() - start < 1

@@ -559,6 +559,48 @@ def test_spacetime_diagram_and_accepts_refuse_a_matrix_not_t_by_n():
             accepts(c, x, matrix)
 
 
+def accepts_by_loop(c, x, matrix):
+    """Reference for :func:`accepts`: step row by row, scanning steps
+    0..T-1 for an all-accepting configuration."""
+    T = c.time_bound
+    config = tuple(x)
+    for t in range(T):
+        if c.config_accepting(config):
+            return (True, t)
+        if t < T - 1:
+            config = step(c, config, matrix[t])
+    return (False, None)
+
+
+def spacetime_diagram_by_loop(c, x, matrix):
+    """Reference for :func:`spacetime_diagram`: one line per step, stepped
+    row by row."""
+    config = tuple(x)
+    lines = []
+    for t in range(c.time_bound):
+        mark = "*" if c.config_accepting(config) else " "
+        lines.append(f"t={t:3d} {mark} " + " ".join(str(s) for s in config))
+        if t < c.time_bound - 1:
+            config = step(c, config, matrix[t])
+    return "\n".join(lines)
+
+
+def test_accepts_and_diagram_match_the_reference_loops():
+    rng = random.Random(18)
+    pacas = [build_c1(), build_c2()] + [sample_paca(rng, q, T) for q, T in ((2, 3), (3, 4)) * 4]
+    first_steps = set()
+    for c in pacas:
+        for _ in range(40):
+            x = [rng.choice(c.sigma) for _ in range(rng.randint(1, 4))]
+            matrix = [[rng.randrange(2) for _ in x] for _ in range(c.time_bound)]
+            got = accepts(c, x, matrix)
+            assert got == accepts_by_loop(c, x, matrix), (paca_to_json(c), x, matrix)
+            assert spacetime_diagram(c, x, matrix) == spacetime_diagram_by_loop(c, x, matrix)
+            first_steps.add(got.first_step)
+    # rejections occur, and acceptances that come only after stepping
+    assert None in first_steps and first_steps - {None, 0}
+
+
 def test_paca_json_roundtrip(tmp_path):
     c = build_c1()
     blob = json.dumps(paca_to_json(c))
