@@ -10,15 +10,15 @@ Exit codes: 0 = pass, 1 = budget violation / window violation / reject,
 
 Each command imports the modules it uses when it runs, so ``paca`` and
 ``window-check``, which expand no seed, never load numpy, ``paca`` loads no
-generator or program module and no ``dataclasses``, and the verify commands
-never load ``paca``.  ``--cap-seeds`` bounds generator seed enumeration, in
+generator or program module and no ``dataclasses``, the verify commands
+never load ``paca``, and none loads ``hashlib`` (:func:`_config_hash`).
+``--cap-seeds`` bounds generator seed enumeration, in
 ``gen``, ``verify-fool`` and ``verify-hit``; no ``paca`` mode reads it.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import random
 import sys
@@ -39,8 +39,20 @@ EXIT_CONFIG = 3
 
 
 def _config_hash(config: dict) -> str:
+    """The first 16 hex digits of SHA-256 over the sorted-key JSON config.
+
+    SHA-256 comes from the interpreter's built-in module where there is one,
+    as ``random`` takes its sha512: ``hashlib`` loads OpenSSL's libcrypto,
+    about 3.6 MB of resident memory for one small digest."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
     blob = json.dumps(config, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]
 
 
 def _write(out_dir: Path, name: str, payload: dict, config: dict) -> None:

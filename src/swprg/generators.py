@@ -71,9 +71,13 @@ class GeneratorSpec:
         """
         raise NotImplementedError
 
+    def _refuse(self, message: str, required_bits: int) -> CapExceeded:
+        """A refusal that names this node by its JSON kind."""
+        return CapExceeded(f"{self.to_json()['kind']}: {message}", required_bits)
+
     def _check_packs(self) -> None:
         if self.flat_bits > 63:
-            raise CapExceeded(
+            raise self._refuse(
                 f"flat output of {self.flat_bits} bits does not pack into uint64",
                 self.flat_bits,
             )
@@ -91,7 +95,7 @@ class GeneratorSpec:
 
     def _check_enumerable(self, cap: int) -> None:
         if self.d > cap:
-            raise CapExceeded(
+            raise self._refuse(
                 f"seed enumeration needs 2**{self.d} expansions (cap {cap} bits)",
                 self.d,
             )

@@ -59,6 +59,9 @@ class HsgSpec(GeneratorSpec):
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         return self.carrier.expand_seeds(seeds)
 
+    def expand_all(self, cap: int = DEFAULT_CAP_BITS) -> np.ndarray:
+        return self.carrier.expand_all(cap)
+
     def output_counts(self, cap: int = DEFAULT_CAP_BITS) -> Tuple[np.ndarray, np.ndarray]:
         return self.carrier.output_counts(cap)
 

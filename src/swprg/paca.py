@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -343,10 +344,36 @@ def derandomize_one_sided(
     return any(counts)
 
 
+class EtaTerms(Mapping):
+    """The terms eta_t of a two-sided run, each a ``Fraction`` keyed by the
+    frozenset of steps t, built from the step-mask counts the first time
+    they are read (:func:`_two_sided_terms`); a caller that reads only eta
+    never builds them."""
+
+    def __init__(self, counts: Dict[int, int], bits: int, T: int):
+        self._source = (counts, bits, T)
+
+    @cached_property
+    def _terms(self) -> Dict[FrozenSet[int], Fraction]:
+        return _two_sided_terms(*self._source)
+
+    def __getitem__(self, steps: FrozenSet[int]) -> Fraction:
+        return self._terms[steps]
+
+    def __iter__(self) -> Iterator[FrozenSet[int]]:
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __repr__(self) -> str:
+        return repr(self._terms)
+
+
 class TwoSidedResult(NamedTuple):
     accept: bool
     eta: Fraction
-    eta_terms: Dict[FrozenSet[int], Fraction]
+    eta_terms: Mapping[FrozenSet[int], Fraction]
 
 
 def derandomize_two_sided(
@@ -358,12 +385,12 @@ def derandomize_two_sided(
     eta_t estimates Pr[all steps in t accepting] through the PRG (error
     parameter eps / 2**T); accept iff eta > 1/2.  Step 0 is deterministic
     and handled directly.  Every eta_t is a count of the step masks that
-    contain t, over the generator's seeds; one superset-sum transform over
-    the 2**(T-1) step subsets gives them all.  As every term counts the
-    same outcomes, the signed sum counts each outcome once per non-empty
-    step mask (its subsets' signs sum to 1), so eta is the share of
-    outcomes whose mask is not empty.  A ``None`` builder takes every coin
-    matrix once, as an exhaustive generator would.
+    contain t, over the generator's seeds.  As every term counts the same
+    outcomes, the signed sum counts each outcome once per non-empty step
+    mask (its subsets' signs sum to 1), so eta is the share of outcomes
+    whose mask is not empty, and the terms (:class:`EtaTerms`) are built
+    only when read.  A ``None`` builder takes every coin matrix once, as an
+    exhaustive generator would.
     """
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
@@ -371,6 +398,16 @@ def derandomize_two_sided(
         return TwoSidedResult(True, Fraction(1), {})
     g = None if prg_builder is None else prg_builder((n + T) * T, Fraction(eps) / (1 << T))
     counts, bits = step_vector_counts(c, x, g)
+    eta = 1 - Fraction(counts.get(0, 0), 1 << bits)
+    return TwoSidedResult(eta > Fraction(1, 2), eta, EtaTerms(counts, bits, T))
+
+
+def _two_sided_terms(
+    counts: Dict[int, int], bits: int, T: int
+) -> Dict[FrozenSet[int], Fraction]:
+    """eta_t for every non-empty subset t of the steps 1..T-1, in the order
+    of t's bit mask, from the step-mask counts over 2**bits outcomes: one
+    superset-sum transform over the 2**(T-1) step subsets gives them all."""
     # contains[sub]: the outcomes whose step mask contains the steps s with
     # bit s-1 of sub set, by one superset-sum (Yates) transform
     size = 1 << (T - 1)
@@ -389,8 +426,7 @@ def derandomize_two_sided(
         low = sub & -sub
         steps = steps_of[sub] = steps_of[sub ^ low] + (low.bit_length(),)
         eta_terms[frozenset(steps)] = Fraction(contains[sub], 1 << bits)
-    eta = 1 - Fraction(counts.get(0, 0), 1 << bits)
-    return TwoSidedResult(eta > Fraction(1, 2), eta, eta_terms)
+    return eta_terms
 
 
 def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], int]:

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import os
 import re
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import swprg
-from swprg import bp, generators, hsg
+from swprg import bp, cli, generators, hsg
 from swprg.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from swprg.paca import Paca, build_c1, paca_to_json
 from swprg.primitives import cayley_extractor
@@ -38,6 +40,42 @@ def test_gen_command(tmp_path):
     assert payload["expansion"] == list(range(8))
     assert "config_hash" in payload
     assert "timestamp" in payload["metadata"]
+
+
+# one fixed config and its config_hash as hashlib.sha256 gives it, which the
+# interpreter's built-in SHA-256 must reproduce
+PINNED_CONFIG = {"generator": {"kind": "exhaustive", "t": 3}, "note": "fingerprint pin"}
+PINNED_HASH = "e5b14e8abc7dab27"
+
+
+def pinned_config_hash(tmp_path):
+    code, out = run(tmp_path, "gen", PINNED_CONFIG)
+    assert code == EXIT_PASS
+    return json.loads((out / "generator.json").read_text())["config_hash"]
+
+
+def test_config_hash_is_the_sha256_of_the_sorted_config(tmp_path):
+    blob = json.dumps(PINNED_CONFIG, sort_keys=True).encode()
+    assert pinned_config_hash(tmp_path) == PINNED_HASH == hashlib.sha256(blob).hexdigest()[:16]
+
+
+def test_config_hash_falls_back_to_hashlib(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(data, real=hashlib.sha256):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    try:
+        importlib.reload(cli)
+        assert pinned_config_hash(tmp_path) == PINNED_HASH
+        assert len(calls) == 1
+    finally:
+        monkeypatch.undo()
+        importlib.reload(cli)
 
 
 def test_gen_cap_refusal(tmp_path):
@@ -89,7 +127,9 @@ def test_verify_refuses_interleave_over_cap_or_packing(tmp_path, capsys, command
                   "family": {"n": g.flat_bits, "t": bits, "budget_bits": 2}}
         code, out = run(tmp_path, command, config, extra=extra)
         assert code == EXIT_CAP
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert f"interleave: {message}" in err  # the refusal names the node
         assert not out.exists()
 
 
@@ -305,7 +345,8 @@ from swprg.cli import main
 
 def loaded():
     return sorted(
-        m for m in sys.modules if m in ("numpy", "dataclasses") or m.startswith("swprg.")
+        m for m in sys.modules
+        if m in ("numpy", "dataclasses", "_hashlib") or m.startswith("swprg.")
     )
 
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
@@ -317,7 +358,8 @@ print(json.dumps([codes, before, loaded()]))
 
 def probe_startup(tmp_path, commands):
     """Exit codes of ``commands`` run in a fresh interpreter, and the modules
-    (numpy, dataclasses and ``swprg.*``) loaded before and after the last one."""
+    (numpy, dataclasses, OpenSSL's ``_hashlib`` and ``swprg.*``) loaded
+    before and after the last one."""
     argvs = [
         [command, "--config", write_config(tmp_path, config, f"c{i}.json"),
          "--out", str(tmp_path / f"out{i}")]
@@ -371,6 +413,25 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
     assert codes == [EXIT_PASS]
     assert "swprg.lab" in after and "swprg.paca" not in after
     assert "dataclasses" in after
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # hashlib would load _hashlib and with it libcrypto, about 3.6 MB
+    p, _ = bp.canonical_debruijn_swbp(6, 2)
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(json.dumps(bp.program_to_json(p)))
+    h = hsg.build_swbp_hsg(8, 2, 4, hsg.hsg_exhaustive(2))
+    configs = c1_paca_modes() + [
+        tiny_verify_fool(),
+        ("verify-hit", {"hsg": h.to_json(), "family": {"n": 8, "t": 2, "budget_bits": 5}}),
+        ("window-check", {"program": str(prog_path), "t": 2}),
+        ("gen", {"generator": generators.base_exhaustive(3).to_json(), "dump": True}),
+    ]
+    codes, _, after = probe_startup(tmp_path, configs)
+    assert codes == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_FAIL] + [EXIT_PASS] * 4
+    # every command ran, so the probe lists each module it loaded
+    assert {"numpy", "swprg.lab", "swprg.hsg", "swprg.paca", "swprg.bp"} <= set(after)
+    assert "_hashlib" not in after
 
 
 def test_cap_seeds_help_names_the_commands_it_bounds(capsys):

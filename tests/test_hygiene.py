@@ -1,6 +1,7 @@
 """Static hygiene of the package, read with the stdlib ``ast`` only: every
-module-level import is referenced, and every local a function assigns is
-read (names starting with ``_`` are exempt)."""
+module-level import is referenced, no module imports ``hashlib`` at module
+level, and every local a function assigns is read (names starting with ``_``
+are exempt)."""
 
 import ast
 from pathlib import Path
@@ -11,19 +12,38 @@ MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "swprg").glob("*
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
-def module_imports(tree: ast.Module):
-    """The names imported at module level, also under a module-level
-    ``if`` or ``try`` (such as ``if TYPE_CHECKING:``); ``__future__`` aside."""
+def module_import_nodes(tree: ast.Module):
+    """The import statements at module level, also under a module-level
+    ``if`` or ``try`` (such as ``if TYPE_CHECKING:``)."""
     stack = list(tree.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.If, ast.Try)):
             stack += node.body + node.orelse + getattr(node, "finalbody", [])
             stack += [s for handler in getattr(node, "handlers", []) for s in handler.body]
-        elif isinstance(node, ast.Import):
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+
+
+def module_imports(tree: ast.Module):
+    """The names imported at module level; ``__future__`` aside."""
+    for node in module_import_nodes(tree):
+        if isinstance(node, ast.Import):
             yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif node.module != "__future__":
             yield from (alias.asname or alias.name for alias in node.names)
+
+
+def module_level_hashlib(tree: ast.Module):
+    """The line of every module-level ``import hashlib`` or ``from hashlib
+    import ...``: hashlib loads OpenSSL's libcrypto, about 3.6 MB of
+    resident memory, into every process that imports the module."""
+    found = []
+    for node in module_import_nodes(tree):
+        names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+        if "hashlib" in {name.split(".")[0] for name in names}:
+            found.append(node.lineno)
+    return sorted(found)
 
 
 def unused_imports(tree: ast.Module):
@@ -86,11 +106,29 @@ def f(xs: List[int]) -> np.ndarray:
     tree = ast.parse(source)
     assert unused_imports(tree) == ["json", "rng"]
     assert dead_locals(tree) == ["f.i", "f.index"]
+    assert module_level_hashlib(tree) == []
+    source = '''
+import hashlib as h
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
+def digest(data):
+    from hashlib import md5
+    return h, sha256, md5
+'''
+    assert module_level_hashlib(ast.parse(source)) == [2, 6]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_module_import_is_referenced(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_hashlib_at_module_level(path):
+    assert module_level_hashlib(ast.parse(path.read_text())) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swprg import cli, paca
 from swprg.bp import acceptance_probability, check_window, evaluate_int, WindowCertificate
 from swprg.errors import ParameterError, ShapeError
 from swprg.generators import (
@@ -478,7 +479,15 @@ def two_sided_by_rescan(counts, bits, T):
     return eta_terms, Fraction(eta_count, 1 << bits)
 
 
-def test_two_sided_terms_match_subset_rescan():
+def test_two_sided_terms_match_subset_rescan(monkeypatch):
+    builds = []
+
+    def counted(*source):
+        builds.append(source)
+        return two_sided_terms(*source)
+
+    two_sided_terms = paca._two_sided_terms
+    monkeypatch.setattr(paca, "_two_sided_terms", counted)
     rng = random.Random(61)
     cases = [(build_c1(), (0, 1), None), (build_c2(), (1, 1), None)]
     for _ in range(8):
@@ -507,11 +516,28 @@ def test_two_sided_terms_match_subset_rescan():
             assert result == (True, Fraction(1), {})
             continue
         terms, eta = two_sided_by_rescan(*step_vector_counts(c, x, g), c.time_bound)
+        assert result.eta == eta and result.accept == (eta > Fraction(1, 2))
+        assert builds == []  # eta and the verdict need no term
         # equal terms in the same order, so reports list them alike
         assert list(result.eta_terms.items()) == list(terms.items())
-        assert result.eta == eta and result.accept == (eta > Fraction(1, 2))
+        assert len(result.eta_terms) == len(terms) and result.eta_terms == terms
+        assert len(builds) == 1  # read three times, built once
+        builds.clear()
         checked += 1
     assert checked == 11  # both fixtures, 6 of the 8 samples and the generator cases
+
+
+def test_cli_derand2_builds_no_term(tmp_path, monkeypatch):
+    def refuse(*source):
+        raise AssertionError("derand2 writes eta only")
+
+    monkeypatch.setattr(paca, "_two_sided_terms", refuse)
+    config = tmp_path / "c2.json"
+    config.write_text(json.dumps({"paca": "c2", "mode": "derand2", "input": [1, 1]}))
+    out = tmp_path / "out"
+    assert cli.main(["paca", "--config", str(config), "--out", str(out)]) == cli.EXIT_PASS
+    payload = json.loads((out / "paca.json").read_text())
+    assert (payload["accept"], payload["eta"]) == (True, "175/256")
 
 
 def test_time_bound_fixtures():
