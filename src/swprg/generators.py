@@ -11,8 +11,7 @@ generators are ordinary nodes whose budget is their rectangle error.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -42,14 +41,17 @@ def iter_ints(array: np.ndarray) -> Iterator[int]:
 class GeneratorSpec:
     """Base class; concrete nodes are frozen dataclasses below.
 
-    A node defines its shape (``d``, ``blocks``, ``block_bits``),
-    ``eps_budget``, ``to_json`` and one expansion method,
+    A node declares its JSON ``kind`` and defines its shape (``d``,
+    ``blocks``, ``block_bits``), ``eps_budget`` and one expansion method,
     :meth:`expand_seeds`; every other expansion is derived from it, and so
     is :meth:`output_counts` unless a node can count its outputs without
-    expanding every seed.  numpy is imported by the methods that build
-    arrays, so building and describing a node loads none of it.
+    expanding every seed.  Its JSON is its kind and its dataclass fields
+    (:meth:`to_json`), read back through the :data:`NODES` registry.  numpy
+    is imported by the methods that build arrays, so building and
+    describing a node loads none of it.
     """
 
+    kind: str
     d: int
     blocks: int
     block_bits: int
@@ -73,7 +75,7 @@ class GeneratorSpec:
 
     def _refuse(self, message: str, required_bits: int) -> CapExceeded:
         """A refusal that names this node by its JSON kind."""
-        return CapExceeded(f"{self.to_json()['kind']}: {message}", required_bits)
+        return CapExceeded(f"{self.kind}: {message}", required_bits)
 
     def _check_packs(self) -> None:
         if self.flat_bits > 63:
@@ -117,8 +119,30 @@ class GeneratorSpec:
 
         return np.unique(self.expand_all(cap), return_counts=True)
 
+    @property
+    def seeds_expanded(self) -> int:
+        """The seeds :meth:`output_counts` expands."""
+        return 1 << self.d
+
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """The node's ``kind``, then every field by name: nodes and
+        extractors as their own JSON, ``Fraction``s as strings, ``None``
+        fields left out.  (A ``kind`` field, as an HSG has, stays first.)"""
+        data = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (GeneratorSpec, Extractor)):
+                data[f.name] = value.to_json()
+            elif value is not None:
+                data[f.name] = str(value) if isinstance(value, Fraction) else value
+        return data
+
+    @classmethod
+    def from_json(cls, data: dict) -> GeneratorSpec:
+        """The node whose :meth:`to_json` is ``data``: each field read by its
+        declared type; a field left out takes its default."""
+        read = {f.name: _FIELD_READERS.get(f.type, lambda value: value) for f in fields(cls)}
+        return cls(**{name: read[name](data[name]) for name in read if name in data})
 
 
 @lru_cache(maxsize=128)
@@ -145,11 +169,14 @@ def _expand_part(child: GeneratorSpec, part: np.ndarray) -> np.ndarray:
 # --- base and rectangle generators ---------------------------------------------------
 
 
-def _check_block_fields(node) -> None:
-    """``__post_init__`` of the nodes whose shape is their two fields."""
-    for value in (node.blocks, node.block_bits):
-        if type(value) is not int or value < 1:
-            raise ParameterError(f"blocks and block_bits must be positive ints: {value!r}")
+def _check_ints(node, names: str = "blocks block_bits", least: int = 1) -> None:
+    """Refuse any of the fields ``names`` of ``node`` that is not an int (a
+    bool is not) of at least ``least``, naming the field; by default the
+    ``__post_init__`` of the nodes whose shape is their two fields."""
+    for name in names.split():
+        value = getattr(node, name)
+        if type(value) is not int or value < least:
+            raise ParameterError(f"{name} must be an int >= {least}: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -158,10 +185,11 @@ class Exhaustive(GeneratorSpec):
     blocks of ``block_bits`` bits.  Zero error, both as a one-block base
     generator and as a rectangle generator."""
 
+    kind = "exhaustive_rect"  # a one-block one writes {"kind": "exhaustive", "t"}
     blocks: int
     block_bits: int
 
-    __post_init__ = _check_block_fields
+    __post_init__ = _check_ints
 
     @property
     def d(self) -> int:
@@ -177,11 +205,7 @@ class Exhaustive(GeneratorSpec):
     def to_json(self) -> dict:
         if self.blocks == 1:
             return {"kind": "exhaustive", "t": self.block_bits}
-        return {
-            "kind": "exhaustive_rect",
-            "blocks": self.blocks,
-            "block_bits": self.block_bits,
-        }
+        return super().to_json()
 
 
 ExhaustiveRectangle = Exhaustive
@@ -198,21 +222,24 @@ class NisanBase(GeneratorSpec):
     Output of 2**levels words of ``word`` bits each, t = word << levels:
     level 0 outputs the seed word; level k outputs
     level_{k-1}(s) || level_{k-1}(h_k(s)) with one affine hash per level.
-    Seed = word, then the per-level hash descriptions.  ``eps_target`` is a
-    configured goal; once the true error has been measured exhaustively,
-    attach it with :func:`with_measured_error` so downstream budgets use the
-    measured value.
+    Seed = word, then the per-level hash descriptions; ``levels`` defaults
+    to ceil(log2 t).  ``eps_target`` is a configured goal; once the true
+    error has been measured exhaustively, attach it with
+    :func:`with_measured_error` so downstream budgets use the measured value.
     """
 
+    kind = "nisan"
     t: int
     w: int
     eps_target: Fraction
-    levels: int
+    levels: Optional[int] = None
     measured_eps: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.levels < 0 or self.t <= 0:
-            raise ParameterError("bad shape")
+        _check_ints(self, "t w")
+        if self.levels is None:
+            object.__setattr__(self, "levels", (self.t - 1).bit_length())
+        _check_ints(self, "levels", least=0)
         if (self.word << self.levels) != self.t:
             raise ParameterError(
                 f"t={self.t} is not word * 2**levels; pad t to a power of two"
@@ -265,24 +292,8 @@ class NisanBase(GeneratorSpec):
 
         return np.fromiter(flats(), dtype=np.uint64, count=len(seeds))
 
-    def to_json(self) -> dict:
-        data = {
-            "kind": "nisan",
-            "t": self.t,
-            "w": self.w,
-            "eps_target": str(self.eps_target),
-            "levels": self.levels,
-        }
-        if self.measured_eps is not None:
-            data["measured_eps"] = str(self.measured_eps)
-        return data
 
-
-def base_nisan(
-    t: int, w: int, eps_base: Fraction, levels: Optional[int] = None
-) -> NisanBase:
-    if levels is None:
-        levels = max(0, math.ceil(math.log2(t)))
+def base_nisan(t: int, w: int, eps_base: Fraction, levels: Optional[int] = None) -> NisanBase:
     return NisanBase(t, w, Fraction(eps_base), levels)
 
 
@@ -298,11 +309,12 @@ class PairwiseRectangle(GeneratorSpec):
     default 1 is the trivial bound, never an assumption of quality.
     """
 
+    kind = "pairwise_rect"
     blocks: int
     block_bits: int
     eps_cr: Fraction = Fraction(1)
 
-    __post_init__ = _check_block_fields
+    __post_init__ = _check_ints
 
     @property
     def hash_family(self) -> HashFamily:
@@ -332,14 +344,6 @@ class PairwiseRectangle(GeneratorSpec):
 
         return np.fromiter(flats(), dtype=np.uint64, count=len(seeds))
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "pairwise_rect",
-            "blocks": self.blocks,
-            "block_bits": self.block_bits,
-            "eps_cr": str(self.eps_cr),
-        }
-
 
 # --- combinators ------------------------------------------------------------------
 
@@ -353,18 +357,19 @@ class InwStretch(GeneratorSpec):
     as a conservative max over the two roles.
     """
 
+    kind = "inw"
     inner: GeneratorSpec
-    ext: Extractor
+    extractor: Extractor
 
     def __post_init__(self):
-        if self.ext.n != self.inner.d:
+        if self.extractor.n != self.inner.d:
             raise ShapeError(
-                f"extractor works on {self.ext.n} bits, inner seed has {self.inner.d}"
+                f"extractor works on {self.extractor.n} bits, inner seed has {self.inner.d}"
             )
 
     @property
     def d(self) -> int:
-        return self.inner.d + self.ext.d
+        return self.inner.d + self.extractor.d
 
     @property
     def blocks(self) -> int:
@@ -376,27 +381,20 @@ class InwStretch(GeneratorSpec):
 
     @property
     def eps_budget(self) -> Fraction:
-        return 3 * max(self.inner.eps_budget, self.ext.eps)
+        return 3 * max(self.inner.eps_budget, self.extractor.eps)
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         import numpy as np
 
         s_g = seeds & np.uint64((1 << self.inner.d) - 1)
         s_e = seeds >> np.uint64(self.inner.d)
-        if self.ext.kind == "perfect":
+        if self.extractor.kind == "perfect":
             s2 = s_e
         else:  # cayley: Ext(x, s) = x XOR g_s
-            s2 = s_g ^ np.asarray(self.ext.generators, dtype=np.uint64)[s_e]
+            s2 = s_g ^ np.asarray(self.extractor.generators, dtype=np.uint64)[s_e]
         return _expand_part(self.inner, s_g) | (
             _expand_part(self.inner, s2) << np.uint64(self.inner.flat_bits)
         )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "inw",
-            "inner": self.inner.to_json(),
-            "extractor": self.ext.to_json(),
-        }
 
 
 def inw_stretch(g: GeneratorSpec, ext: Extractor) -> InwStretch:
@@ -415,6 +413,7 @@ class RectCompose(GeneratorSpec):
     rectangle and base, at most ``CHUNK`` at once.
     """
 
+    kind = "rect_compose"
     base: GeneratorSpec
     rect: GeneratorSpec
 
@@ -461,13 +460,6 @@ class RectCompose(GeneratorSpec):
             out |= part
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "rect_compose",
-            "base": self.base.to_json(),
-            "rect": self.rect.to_json(),
-        }
-
 
 def rect_compose(base: GeneratorSpec, rect: GeneratorSpec) -> RectCompose:
     return RectCompose(base, rect)
@@ -481,6 +473,7 @@ class Interleave(GeneratorSpec):
     component budget, valid against window-size <= block_bits programs.
     """
 
+    kind = "interleave"
     g1: GeneratorSpec
     g2: GeneratorSpec
 
@@ -535,8 +528,10 @@ class Interleave(GeneratorSpec):
         values = self._merge(np.repeat(v1, len(v2)), np.tile(v2, len(v1)))
         return values, np.outer(c1, c2).ravel()
 
-    def to_json(self) -> dict:
-        return {"kind": "interleave", "g1": self.g1.to_json(), "g2": self.g2.to_json()}
+    @property
+    def seeds_expanded(self) -> int:
+        """Each half's seeds, expanded on their own (:meth:`output_counts`)."""
+        return self.g1.seeds_expanded + self.g2.seeds_expanded
 
 
 def interleave(g1: GeneratorSpec, g2: GeneratorSpec) -> Interleave:
@@ -585,32 +580,29 @@ def build_swbp_prg(
 
 # --- JSON ------------------------------------------------------------------------
 
+# Every node kind but the one-block exhaustive form, to the class that reads it.
+NODES = {
+    cls.kind: cls
+    for cls in (Exhaustive, NisanBase, PairwiseRectangle, InwStretch, RectCompose, Interleave)
+}
+
 
 def generator_from_json(data: dict) -> GeneratorSpec:
+    """The node of ``data``'s ``kind`` (:meth:`GeneratorSpec.from_json`);
+    ``{"kind": "exhaustive", "t": t}`` is the one-block :class:`Exhaustive`."""
     kind = data["kind"]
     if kind == "exhaustive":
         return Exhaustive(1, data["t"])
-    if kind == "exhaustive_rect":
-        return Exhaustive(data["blocks"], data["block_bits"])
-    if kind == "pairwise_rect":
-        return PairwiseRectangle(
-            data["blocks"], data["block_bits"], Fraction(data["eps_cr"])
-        )
-    if kind == "nisan":
-        g = base_nisan(
-            data["t"], data["w"], Fraction(data["eps_target"]), data.get("levels")
-        )
-        if "measured_eps" in data:
-            g = with_measured_error(g, Fraction(data["measured_eps"]))
-        return g
-    if kind == "inw":
-        return InwStretch(
-            generator_from_json(data["inner"]), extractor_from_json(data["extractor"])
-        )
-    if kind == "rect_compose":
-        return RectCompose(
-            generator_from_json(data["base"]), generator_from_json(data["rect"])
-        )
-    if kind == "interleave":
-        return Interleave(generator_from_json(data["g1"]), generator_from_json(data["g2"]))
-    raise ParameterError(f"unknown generator kind {kind!r}")
+    if kind not in NODES:
+        raise ParameterError(f"unknown generator kind {kind!r}")
+    return NODES[kind].from_json(data)
+
+
+# A field's JSON reader by its declared type, the annotation's text (annotations are
+# strings here, see ``from __future__``); a field of any other type is read as it is.
+_FIELD_READERS = {
+    "Fraction": Fraction,
+    "Optional[Fraction]": Fraction,
+    "GeneratorSpec": generator_from_json,
+    "Extractor": extractor_from_json,
+}

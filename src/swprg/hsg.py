@@ -2,7 +2,7 @@
 
 An HSG is a generator node under the hitting contract: it expands through
 its ``carrier`` generator, and its budget is a hitting threshold -- any
-program of the intended class whose acceptance probability reaches the
+program of the intended class whose acceptance probability is above the
 threshold must accept at least one output.  Budgets differ from the
 fooling case -- composition pays 2 * max(r * eps_base, eps_cr) rather than
 a sum.
@@ -65,12 +65,9 @@ class HsgSpec(GeneratorSpec):
     def output_counts(self, cap: int = DEFAULT_CAP_BITS) -> Tuple[np.ndarray, np.ndarray]:
         return self.carrier.output_counts(cap)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "carrier": self.carrier.to_json(),
-            "threshold": str(self.threshold),
-        }
+    @property
+    def seeds_expanded(self) -> int:
+        return self.carrier.seeds_expanded
 
 
 def from_prg(g: GeneratorSpec) -> HsgSpec:

@@ -318,14 +318,6 @@ class _Counts:
         raise IndexError(index)
 
 
-def _seeds_expanded(g) -> int:
-    """The seeds ``g.output_counts`` expands: an interleave expands each half
-    on its own seeds."""
-    if isinstance(g, Interleave):
-        return _seeds_expanded(g.g1) + _seeds_expanded(g.g2)
-    return 1 << g.d
-
-
 def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
     """Count ``g``'s distinct outputs once (``g.output_counts``) and, for
     every program, the seeds and the uniform inputs it accepts, one family
@@ -350,7 +342,7 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
         seed += family.accept_counts(values, mult).tolist()
         uniform += family.uniform_counts().tolist()
     work = {
-        "seeds_expanded": _seeds_expanded(g),
+        "seeds_expanded": g.seeds_expanded,
         "distinct_outputs": len(values),
         "seed_layer_evals": len(values) * g.flat_bits * len(families),
         "programs_counted": len(seed),
@@ -455,15 +447,14 @@ def run_hitting_report(
     cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> HittingReport:
     """Check the hitting contract family-wide: every program whose exact
-    acceptance probability reaches the threshold (and is nonzero) must have
-    a witness seed."""
+    acceptance probability is above the threshold must have a witness seed."""
     start = time.monotonic()
     report = HittingReport(h.to_json(), family, h.eps_budget)
     counts = _count(h, programs, cap_seeds)
     threshold, n = h.eps_budget, h.flat_bits
     for i, (hits, accepted) in enumerate(zip(counts.seed, counts.uniform)):
-        # accepted / 2**n >= threshold, in integers
-        if accepted > 0 and accepted * threshold.denominator >= threshold.numerator << n:
+        # accepted / 2**n > threshold, in integers
+        if accepted * threshold.denominator > threshold.numerator << n:
             report.required += 1
             if hits == 0:
                 report.missed.append(i)

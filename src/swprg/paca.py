@@ -331,8 +331,8 @@ def derandomize_one_sided(
 
     Accepts iff step 0 accepts directly or some (t, seed) makes S_{t}
     accept the HSG output, with hitting threshold eps/T: that is, iff some
-    seed's stream has a non-empty step mask.  eps is the floor on the
-    acceptance probability of inputs in the language.  A ``None`` builder
+    seed's stream has a non-empty step mask.  eps is a strict floor: every
+    input in the language is accepted with probability above eps.  A ``None`` builder
     takes every coin matrix once, as an exhaustive HSG would.
     """
     x = _check_input(c, x)

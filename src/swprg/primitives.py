@@ -210,7 +210,10 @@ class Extractor:
 
 
 def extractor_from_json(data: dict) -> Extractor:
-    """The inverse of ``Extractor.to_json``; refuses unknown kinds and bad generator lists."""
+    """The inverse of ``Extractor.to_json``; refuses unknown kinds and bad
+    generator lists.  A Cayley extractor is rebuilt from its generators with
+    their bias measured again, and a stated ``eps`` or ``bias`` that differs
+    from the rebuilt one is refused (``ConfigurationError``)."""
     kind, n = data["kind"], data["n"]
     if kind == "perfect":
         return perfect_extractor(n)
@@ -219,7 +222,13 @@ def extractor_from_json(data: dict) -> Extractor:
     d, gens = data["d"], tuple(data["generators"])
     if len(gens) != 1 << d or not all(0 <= v < 1 << n for v in gens):
         raise ShapeError(f"a Cayley extractor needs 2**{d} generators in [0, 2**{n})")
-    return Extractor(kind, n, d, data["k"], Fraction(data["eps"]), gens, Fraction(data["bias"]))
+    ext = cayley_extractor_from_set(n, n - data["k"], SmallBiasSet(n, gens, measure_bias(n, gens)))
+    if (Fraction(data["eps"]), Fraction(data["bias"])) != (ext.eps, ext.bias):
+        raise ConfigurationError(
+            f"Cayley extractor eps {data['eps']} and bias {data['bias']} are not the "
+            f"{ext.eps} and {ext.bias} that its generators give"
+        )
+    return ext
 
 
 def perfect_extractor(n: int) -> Extractor:

@@ -244,7 +244,9 @@ def test_window_check_refuses_a_transition_that_is_not_a_pair(tmp_path, entry):
     {"generators": [1]},
     {"generators": [0, 1, 2, 4]},
     {"kind": "caley"},
-], ids=["short", "out-of-range", "kind"])
+    {"eps": "0"},
+    {"bias": "0"},
+], ids=["short", "out-of-range", "kind", "eps", "bias"])
 def test_gen_refuses_a_malformed_extractor(tmp_path, change):
     g = generators.inw_stretch(generators.base_exhaustive(2), cayley_extractor(2, 2, Fraction(1, 2)))
     spec = g.to_json()

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from swprg.bits import bits_to_int
 from swprg.errors import CapExceeded, ParameterError, ShapeError
 from swprg.generators import (
     CHUNK,
+    NODES,
     ExhaustiveRectangle,
     PairwiseRectangle,
     base_exhaustive,
@@ -197,6 +199,18 @@ def test_nisan_rejects_bad_shape():
         base_nisan(6, 2, Fraction(1, 4), levels=2)  # 6 != word << 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t", 0), ("t", -4), ("t", True), ("t", 4.0), ("t", "4"),
+    ("w", 0), ("w", True), ("w", 4.0),
+    ("levels", -1), ("levels", True), ("levels", 2.0),
+])
+def test_nisan_refuses_bad_fields(field, value):
+    # a bool is refused as an int, so "t": true no longer loads as a 1-bit base
+    data = {"kind": "nisan", "t": 4, "w": 4, "eps_target": "1/4", field: value}
+    with pytest.raises(ParameterError, match=field):
+        generator_from_json(data)
+
+
 def test_inw_stretch_perfect_extractor_concatenates():
     g = base_exhaustive(2)
     st = inw_stretch(g, perfect_extractor(2))
@@ -289,10 +303,11 @@ def test_expand_all_matches_expand_int_everywhere():
             want = ref_expand(node, s)
             assert int(outs[s]) == want, (node["kind"], s)
             assert g.expand_int(s) == want, (node["kind"], s)
+    # every node kind is registered, and every registered kind is covered
     assert kinds == {
         "exhaustive", "exhaustive_rect", "nisan", "pairwise_rect", "inw",
         "rect_compose", "interleave", *HSG_KINDS,
-    }
+    } == {"exhaustive", *NODES, *HSG_KINDS}
 
 
 def expand_by_eval(g, seed):
@@ -421,6 +436,23 @@ def test_generator_json_roundtrip():
         back = hsg_from_json(data) if data["kind"] in HSG_KINDS else generator_from_json(data)
         assert back == g
         assert back.eps_budget == g.eps_budget
+
+
+GOLDEN = Path(__file__).with_name("golden_node_json.txt")
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+def test_node_json_matches_the_golden_text():
+    # the exact JSON text of every node kind and of the benchmark's specs
+    configs = [json.loads((CONFIGS / name).read_text()) for name in (
+        "fool-family.json", "hit-family.json", "paca-gen.json")]
+    specs = every_node_kind() + [
+        generator_from_json(configs[0]["generator"]),
+        hsg_from_json(configs[1]["hsg"]),
+        generator_from_json(configs[2]),
+    ]
+    texts = [json.dumps(g.to_json()) for g in specs]
+    assert texts == GOLDEN.read_text().splitlines()
 
 
 def test_nisan_json_levels_default():

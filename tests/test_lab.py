@@ -32,7 +32,7 @@ from swprg.generators import (
     rect_compose,
     with_measured_error,
 )
-from swprg.hsg import hsg_exhaustive, hsg_interleave
+from swprg.hsg import from_prg, hsg_exhaustive, hsg_interleave
 from swprg.lab import (
     MaskFamily,
     batch_evaluate,
@@ -65,7 +65,7 @@ class ConstantGen:
     def __init__(self, value, n):
         self.value, self.n = value, n
         self.d, self.blocks, self.block_bits = 0, 1, n
-        self.flat_bits = n
+        self.flat_bits, self.seeds_expanded = n, 1
 
     def expand_all(self, cap=24):
         return np.array([self.value], dtype=np.uint64)
@@ -86,7 +86,7 @@ class TableGen:
     def __init__(self, outputs, n, threshold=Fraction(0)):
         self.outputs = np.asarray(outputs, dtype=np.uint64)
         self.d, self.flat_bits = len(outputs).bit_length() - 1, n
-        self.eps_budget = threshold
+        self.seeds_expanded, self.eps_budget = len(outputs), threshold
 
     def expand_all(self, cap=24):
         return self.outputs
@@ -308,7 +308,7 @@ def test_interleave_report_builds_no_seed_sized_array():
     finally:
         tracemalloc.stop()
     assert g.d == 20 and report.work["distinct_outputs"] == 144 * 144
-    assert report.work["seeds_expanded"] == 2 << 10
+    assert report.work["seeds_expanded"] == from_prg(g).seeds_expanded == 2 << 10
     assert peak < 8 << 20  # one uint64 array of 2**20 outputs
     per_seed = [fooling_error(g, fam.program(m)) for m in (0, len(fam) - 1)]
     assert [report.rows[0][1], report.rows[-1][1]] == [str(e) for e in per_seed]
@@ -368,7 +368,7 @@ def test_family_counts_match_per_program_oracles():
             assert seed[i] == batch_evaluate(p, outputs).sum()
             p_acc = acceptance_probability(p)
             assert Fraction(int(uniform[i]), 1 << n) == p_acc
-            if p_acc >= g.eps_budget and p_acc > 0:
+            if p_acc > g.eps_budget:
                 required += 1
                 hit = hitting_check(g, p) is not None
                 verdicts.add(hit)
@@ -385,6 +385,20 @@ def test_family_counts_match_per_program_oracles():
         as_list = run_hitting_report(g, programs).to_json()
         assert {**as_list, "metadata": 0} == {**hits.to_json(), "metadata": 0}
     assert verdicts == {True, False}
+
+
+def test_prg_hsg_needs_no_witness_at_its_threshold():
+    # this family's worst fooling error is exactly the base's measured 1/8, so
+    # programs accepted with probability exactly 1/8 may miss every output;
+    # a PRG-derived HSG promises to hit only those accepted above it
+    h = from_prg(with_measured_error(base_nisan(4, 4, Fraction(1, 4)), Fraction(1, 8)))
+    fam = swbp_family(4, 2)
+    assert run_fooling_report(h.carrier, fam, h.eps_budget).worst_error == h.eps_budget
+    report = run_hitting_report(h, fam)
+    assert report.passed and report.required > 0
+    for i in (1641, 2454):
+        assert acceptance_probability(fam.program(i)) == h.eps_budget
+        assert hitting_check(h.carrier, fam.program(i)) is None
 
 
 def test_uniform_counts_without_input_enumeration():

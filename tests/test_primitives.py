@@ -214,6 +214,19 @@ def test_extractor_json_roundtrip():
     assert extractor_from_json(p.to_json()) == p
 
 
+def test_extractor_from_json_refuses_a_stated_eps_or_bias():
+    # the Cayley extractor is rebuilt from its generators, so an edited eps
+    # cannot shrink the budget of a stretch built on it
+    ext = cayley_extractor(6, 2, Fraction(1, 2))
+    data = ext.to_json()
+    assert extractor_from_json(data) == ext
+    for name in ("eps", "bias"):
+        with pytest.raises(ConfigurationError):
+            extractor_from_json({**data, name: "0"})
+    with pytest.raises(ConfigurationError):
+        extractor_from_json({**data, "eps": str(ext.eps * 2)})
+
+
 def test_min_entropy_flat():
     assert min_entropy(flat_source(range(8))) == 3.0
 
