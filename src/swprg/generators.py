@@ -127,7 +127,7 @@ class GeneratorSpec:
     def to_json(self) -> dict:
         """The node's ``kind``, then every field by name: nodes and
         extractors as their own JSON, ``Fraction``s as strings, ``None``
-        fields left out.  (A ``kind`` field, as an HSG has, stays first.)"""
+        fields left out."""
         data = {"kind": self.kind}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -177,6 +177,15 @@ def _check_ints(node, names: str = "blocks block_bits", least: int = 1) -> None:
         value = getattr(node, name)
         if type(value) is not int or value < least:
             raise ParameterError(f"{name} must be an int >= {least}: {value!r}")
+
+
+def _check_budgets(node, names: str) -> None:
+    """Refuse any of the budget fields ``names`` of ``node`` that is set and
+    outside [0, 1], naming the field."""
+    for name in names.split():
+        value = getattr(node, name)
+        if value is not None and not 0 <= value <= 1:
+            raise ParameterError(f"{name} must lie in [0, 1]: {value}")
 
 
 @dataclass(frozen=True)
@@ -237,6 +246,7 @@ class NisanBase(GeneratorSpec):
 
     def __post_init__(self):
         _check_ints(self, "t w")
+        _check_budgets(self, "eps_target measured_eps")
         if self.levels is None:
             object.__setattr__(self, "levels", (self.t - 1).bit_length())
         _check_ints(self, "levels", least=0)
@@ -314,7 +324,9 @@ class PairwiseRectangle(GeneratorSpec):
     block_bits: int
     eps_cr: Fraction = Fraction(1)
 
-    __post_init__ = _check_ints
+    def __post_init__(self):
+        _check_ints(self)
+        _check_budgets(self, "eps_cr")
 
     @property
     def hash_family(self) -> HashFamily:

@@ -30,7 +30,6 @@ from .bp import (
 )
 from .errors import DEFAULT_CAP_BITS, CapExceeded, ConfigurationError, ParameterError, ShapeError
 from .generators import Interleave
-from .hsg import HsgSpec
 
 
 def program_tables(p: LayeredProgram) -> Tuple[np.ndarray, np.ndarray]:
@@ -326,9 +325,8 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
     class (ConfigurationError).
 
     ``programs`` is a family, or a sequence of families and single programs
-    whose programs are numbered one after another.  An HSG counts as its carrier.
+    whose programs are numbered one after another.
     """
-    g = g.carrier if isinstance(g, HsgSpec) else g
     if isinstance(programs, MaskFamily):
         programs = [programs]
     families = [f if isinstance(f, MaskFamily) else MaskFamily(f) for f in programs]

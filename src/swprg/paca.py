@@ -320,7 +320,8 @@ def accepting_steps_of_stream(c: Paca, x: Sequence[int], r: int) -> int:
 # --- derandomizers --------------------------------------------------------------------
 
 
-# (stream bits m, error or threshold) -> generator or HSG emitting m bits
+# (stream bits m, error or threshold) -> generator emitting m bits; the one-sided
+# derandomizer reads it as an HSG, its budget the hitting threshold
 Builder = Callable[[int, Fraction], object]
 
 
@@ -333,7 +334,7 @@ def derandomize_one_sided(
     accept the HSG output, with hitting threshold eps/T: that is, iff some
     seed's stream has a non-empty step mask.  eps is a strict floor: every
     input in the language is accepted with probability above eps.  A ``None`` builder
-    takes every coin matrix once, as an exhaustive HSG would.
+    takes every coin matrix once, as an exhaustive generator would.
     """
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
@@ -433,9 +434,9 @@ def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], 
     """Counts of each step mask (the steps 1..T-1 whose configuration is
     all-accepting) over 2**bits equally likely outcomes, and ``bits``.
 
-    ``g`` emits the (n+T)*T-bit coin stream.  ``None``, an exhaustive
-    generator or an HSG over one stands for every stream once, so the
-    outcomes are the coin matrices of the configuration chain that
+    ``g`` emits the (n+T)*T-bit coin stream.  ``None`` or an exhaustive
+    generator stands for every stream once, so the outcomes are the coin
+    matrices of the configuration chain that
     :func:`exact_accept_probability` reads too, in the same proportions;
     for any other generator they are its seeds: each distinct stream is
     swept once and weighted by how many seeds emit it.  The streams and
@@ -446,13 +447,12 @@ def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], 
     if g is None:
         return _step_vector_distribution(c, x)
     from .generators import Exhaustive, iter_ints  # loaded already by whoever built g
-    from .hsg import HsgSpec
 
     n, T = len(x), c.time_bound
     m = (n + T) * T
     if g.flat_bits != m:
         raise ShapeError(f"generator emits {g.flat_bits} bits, stream needs {m}")
-    if isinstance(g.carrier if isinstance(g, HsgSpec) else g, Exhaustive):
+    if isinstance(g, Exhaustive):
         return _step_vector_distribution(c, x)
     steps_mask = (1 << T) - 2
     counts: Dict[int, int] = {}

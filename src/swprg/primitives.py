@@ -211,23 +211,26 @@ class Extractor:
 
 def extractor_from_json(data: dict) -> Extractor:
     """The inverse of ``Extractor.to_json``; refuses unknown kinds and bad
-    generator lists.  A Cayley extractor is rebuilt from its generators with
-    their bias measured again, and a stated ``eps`` or ``bias`` that differs
-    from the rebuilt one is refused (``ConfigurationError``)."""
+    generator lists.  An extractor is rebuilt from its ``n`` (perfect) or
+    its generators with their bias measured again (Cayley), and a stated
+    ``d``, ``k``, ``eps`` or ``bias`` that differs from the rebuilt one's is
+    refused (``ConfigurationError``)."""
     kind, n = data["kind"], data["n"]
     if kind == "perfect":
-        return perfect_extractor(n)
-    if kind != "cayley":
+        ext = perfect_extractor(n)
+    elif kind == "cayley":
+        d, gens = data["d"], tuple(data["generators"])
+        if len(gens) != 1 << d or not all(0 <= v < 1 << n for v in gens):
+            raise ShapeError(f"a Cayley extractor needs 2**{d} generators in [0, 2**{n})")
+        bias = measure_bias(n, gens)
+        ext = cayley_extractor_from_set(n, n - data["k"], SmallBiasSet(n, gens, bias))
+    else:
         raise ParameterError(f"unknown extractor kind {kind!r}")
-    d, gens = data["d"], tuple(data["generators"])
-    if len(gens) != 1 << d or not all(0 <= v < 1 << n for v in gens):
-        raise ShapeError(f"a Cayley extractor needs 2**{d} generators in [0, 2**{n})")
-    ext = cayley_extractor_from_set(n, n - data["k"], SmallBiasSet(n, gens, measure_bias(n, gens)))
-    if (Fraction(data["eps"]), Fraction(data["bias"])) != (ext.eps, ext.bias):
-        raise ConfigurationError(
-            f"Cayley extractor eps {data['eps']} and bias {data['bias']} are not the "
-            f"{ext.eps} and {ext.bias} that its generators give"
-        )
+    for key in ("d", "k", "eps", "bias"):
+        if key in data and Fraction(data[key]) != getattr(ext, key):
+            raise ConfigurationError(
+                f"{kind} extractor {key} {data[key]} is not its rebuilt {getattr(ext, key)}"
+            )
     return ext
 
 

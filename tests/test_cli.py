@@ -18,10 +18,20 @@ from swprg.paca import Paca, build_c1, paca_to_json
 from swprg.primitives import cayley_extractor
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def hsg_config(g, kind="prg_as_hsg", threshold=None):
+    """An HSG config over the carrier ``g``, written by hand: the wrapper of
+    ``kind`` at ``threshold``, by default ``g``'s budget."""
+    threshold = g.eps_budget if threshold is None else threshold
+    return {"kind": kind, "carrier": g.to_json(), "threshold": str(threshold)}
 
 
 def run(tmp_path, command, config, extra=()):
@@ -110,7 +120,7 @@ def test_verify_fool_family_budget_out_of_range(tmp_path, budget_bits):
 
 @pytest.mark.parametrize(
     "command, key, wrap",
-    [("verify-fool", "generator", lambda g: g), ("verify-hit", "hsg", hsg.from_prg)],
+    [("verify-fool", "generator", lambda g: g.to_json()), ("verify-hit", "hsg", hsg_config)],
     ids=["verify-fool", "verify-hit"],
 )
 def test_verify_refuses_interleave_over_cap_or_packing(tmp_path, capsys, command, key, wrap):
@@ -123,7 +133,7 @@ def test_verify_refuses_interleave_over_cap_or_packing(tmp_path, capsys, command
          2, [], "flat output of 64 bits does not pack into uint64"),
     ]
     for g, bits, extra, message in cases:
-        config = {key: wrap(g).to_json(),
+        config = {key: wrap(g),
                   "family": {"n": g.flat_bits, "t": bits, "budget_bits": 2}}
         code, out = run(tmp_path, command, config, extra=extra)
         assert code == EXIT_CAP
@@ -168,10 +178,12 @@ def test_verify_fool_budget_violation(tmp_path):
     "command, key, spec, report",
     [
         ("verify-fool", "generator",
-         generators.interleave(generators.base_exhaustive(2), generators.base_exhaustive(2)),
+         generators.interleave(generators.base_exhaustive(2), generators.base_exhaustive(2))
+         .to_json(),
          "fooling.json"),
         ("verify-hit", "hsg",
-         hsg.hsg_interleave(hsg.hsg_exhaustive(2), hsg.hsg_exhaustive(2)),
+         hsg_config(generators.interleave(hsg.hsg_exhaustive(2), hsg.hsg_exhaustive(2)),
+                    "hsg_interleave"),
          "hitting.json"),
     ],
     ids=["verify-fool", "verify-hit"],
@@ -179,7 +191,7 @@ def test_verify_fool_budget_violation(tmp_path):
 def test_interleave_window_precondition(tmp_path, command, key, spec, report):
     # block_bits is 2: programs of window 3 or 4 are outside the budget's class
     for t in (3, 4):
-        config = {key: spec.to_json(), "family": {"n": 4, "t": t, "budget_bits": 4}}
+        config = {key: spec, "family": {"n": 4, "t": t, "budget_bits": 4}}
         code, out = run(tmp_path, command, config)
         assert code == EXIT_CONFIG
         assert not out.exists()
@@ -191,7 +203,7 @@ def test_interleave_window_precondition(tmp_path, command, key, spec, report):
 
 def test_verify_hit(tmp_path):
     h = hsg.build_swbp_hsg(8, 2, 4, hsg.hsg_exhaustive(2))
-    config = {"hsg": h.to_json(), "family": {"n": 8, "t": 2, "budget_bits": 5}}
+    config = {"hsg": hsg_config(h, "hsg_interleave"), "family": {"n": 8, "t": 2, "budget_bits": 5}}
     code, out = run(tmp_path, "verify-hit", config)
     assert code == EXIT_PASS
     payload = json.loads((out / "hitting.json").read_text())
@@ -200,8 +212,7 @@ def test_verify_hit(tmp_path):
             for key in ("seeds_expanded", "distinct_outputs", "seed_layer_evals",
                         "programs_counted")}
     # an interleave expands each half on its own seeds, 2**4 + 2**4 of them
-    halves = h.carrier
-    assert work == {"seeds_expanded": (1 << halves.g1.d) + (1 << halves.g2.d),
+    assert work == {"seeds_expanded": (1 << h.g1.d) + (1 << h.g2.d),
                     "distinct_outputs": 1 << h.d, "seed_layer_evals": 8 << h.d,
                     "programs_counted": 32}
     # a stated threshold other than the derived 0 is refused; trusted, "1"
@@ -219,13 +230,49 @@ def test_verify_hit_reads_a_hsg_of_prg_halves(tmp_path):
     rc = generators.rect_compose(
         generators.base_exhaustive(2), generators.PairwiseRectangle(2, 2, Fraction(1, 8))
     )
-    h = hsg.hsg_interleave(hsg.from_prg(rc), hsg.from_prg(rc))
-    assert h.threshold == Fraction(1, 4)
-    config = {"hsg": h.to_json(), "family": {"n": 8, "t": 2, "budget_bits": 8}}
+    h = generators.interleave(rc, rc)
+    assert h.eps_budget == Fraction(1, 4)
+    config = {"hsg": hsg_config(h, "hsg_interleave"), "family": {"n": 8, "t": 2, "budget_bits": 8}}
     code, out = run(tmp_path, "verify-hit", config)
     assert code == EXIT_PASS
     payload = json.loads((out / "hitting.json").read_text())
     assert payload["passed"] and payload["threshold"] == "1/4"
+
+
+def test_verify_hit_reads_every_old_kind_at_the_carrier_budget(tmp_path):
+    # an HSG config loads as its carrier, at the carrier's budget
+    rc = generators.rect_compose(
+        generators.base_exhaustive(2), generators.PairwiseRectangle(4, 2, Fraction(1, 8))
+    )
+    bench = json.loads((CONFIGS / "hit-family.json").read_text())["hsg"]
+    whole = generators.interleave(rc, rc)
+    loaded = [
+        (bench, generators.generator_from_json(bench["carrier"])),
+        (hsg_config(rc), rc),
+        (hsg_config(rc, "hsg_rect"), rc),  # the old rule gave 2 * max(4 * 0, 1/8) = 1/4
+        (hsg_config(whole, "hsg_interleave"), whole),
+    ]
+    refused = [
+        hsg_config(rc, "hsg_rect", Fraction(1, 4)),
+        {**bench, "threshold": "1/4"},
+        hsg_config(rc, "hsg_interleave"),  # a kind whose carrier does not fit
+        {**bench, "kind": "hsg_rect"},
+        hsg_config(rc, "hsg"),  # a kind no carrier has
+    ]
+    for i, (data, g) in enumerate(loaded + [(data, None) for data in refused]):
+        case = tmp_path / f"case{i}"
+        case.mkdir()
+        n = generators.generator_from_json(data["carrier"]).flat_bits
+        config = {"hsg": data, "family": {"n": n, "t": 2, "budget_bits": 6}}
+        code, out = run(case, "verify-hit", config)
+        if g is None:
+            assert code == EXIT_CONFIG and not out.exists(), data
+            continue
+        assert code in (EXIT_PASS, EXIT_FAIL), data
+        payload = json.loads((out / "hitting.json").read_text())
+        assert payload["generator"] == g.to_json() == data["carrier"]
+        assert payload["threshold"] == str(g.eps_budget)
+    assert rc.eps_budget == Fraction(1, 8)
 
 
 @pytest.mark.parametrize("entry", [[0], [0, 1, 0], 0], ids=["one", "three", "int"])
@@ -425,7 +472,7 @@ def test_no_command_loads_openssl(tmp_path):
     h = hsg.build_swbp_hsg(8, 2, 4, hsg.hsg_exhaustive(2))
     configs = c1_paca_modes() + [
         tiny_verify_fool(),
-        ("verify-hit", {"hsg": h.to_json(), "family": {"n": 8, "t": 2, "budget_bits": 5}}),
+        ("verify-hit", {"hsg": hsg_config(h), "family": {"n": 8, "t": 2, "budget_bits": 5}}),
         ("window-check", {"program": str(prog_path), "t": 2}),
         ("gen", {"generator": generators.base_exhaustive(3).to_json(), "dump": True}),
     ]

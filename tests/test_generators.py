@@ -21,21 +21,13 @@ from swprg.generators import (
     rect_compose,
     with_measured_error,
 )
-from swprg.hsg import (
-    build_swbp_hsg,
-    from_prg,
-    hsg_exhaustive,
-    hsg_from_json,
-    hsg_rect_compose,
-)
+from swprg.hsg import hsg_from_json
 from swprg.primitives import cayley_extractor, perfect_extractor
 
 
 # --- pure-Python reference expander ------------------------------------------
 # Works from a node's JSON form alone, with its own parity and hashing, so it
 # shares no expansion code with the package.
-
-HSG_KINDS = ("prg_as_hsg", "hsg_rect", "hsg_interleave")
 
 
 def ref_parity(x):
@@ -73,11 +65,9 @@ def ref_shape(node):
     if kind == "rect_compose":
         d, blocks, _ = ref_shape(node["rect"])
         return d, blocks, ref_shape(node["base"])[2]
-    if kind == "interleave":
-        d1, blocks, bits = ref_shape(node["g1"])
-        return d1 + ref_shape(node["g2"])[0], 2 * blocks, bits
-    assert kind in HSG_KINDS, kind
-    return ref_shape(node["carrier"])
+    assert kind == "interleave", kind
+    d1, blocks, bits = ref_shape(node["g1"])
+    return d1 + ref_shape(node["g2"])[0], 2 * blocks, bits
 
 
 def ref_expand(node, seed):
@@ -116,17 +106,15 @@ def ref_expand(node, seed):
             ref_expand(node["base"], (rv >> (i * m)) & ((1 << m) - 1)) << (i * t)
             for i in range(blocks)
         )
-    if kind == "interleave":
-        d1, blocks, t = ref_shape(node["g1"])
-        o1 = ref_expand(node["g1"], seed & ((1 << d1) - 1))
-        o2 = ref_expand(node["g2"], seed >> d1)
-        out = 0
-        for i in range(blocks):
-            out |= ((o1 >> (i * t)) & ((1 << t) - 1)) << (2 * i * t)
-            out |= ((o2 >> (i * t)) & ((1 << t) - 1)) << ((2 * i + 1) * t)
-        return out
-    assert kind in HSG_KINDS, kind
-    return ref_expand(node["carrier"], seed)
+    assert kind == "interleave", kind
+    d1, blocks, t = ref_shape(node["g1"])
+    o1 = ref_expand(node["g1"], seed & ((1 << d1) - 1))
+    o2 = ref_expand(node["g2"], seed >> d1)
+    out = 0
+    for i in range(blocks):
+        out |= ((o1 >> (i * t)) & ((1 << t) - 1)) << (2 * i * t)
+        out |= ((o2 >> (i * t)) & ((1 << t) - 1)) << ((2 * i + 1) * t)
+    return out
 
 
 def every_node_kind():
@@ -144,9 +132,6 @@ def every_node_kind():
         rect_compose(nisan, ExhaustiveRectangle(2, nisan.d)),
         interleave(base_exhaustive(3), base_exhaustive(3)),
         interleave(half, half),
-        from_prg(nisan),
-        build_swbp_hsg(8, 2, 4, hsg_exhaustive(2)),
-        hsg_rect_compose(hsg_exhaustive(2), PairwiseRectangle(4, 2, Fraction(1, 8))),
     ]
 
 
@@ -209,6 +194,32 @@ def test_nisan_refuses_bad_fields(field, value):
     data = {"kind": "nisan", "t": 4, "w": 4, "eps_target": "1/4", field: value}
     with pytest.raises(ParameterError, match=field):
         generator_from_json(data)
+
+
+BUDGET_FIELDS = {
+    # field: its node's JSON, and the node built directly with the field at a value
+    "eps_cr": ({"kind": "pairwise_rect", "blocks": 3, "block_bits": 2, "eps_cr": "1/4"},
+               lambda v: PairwiseRectangle(3, 2, v)),
+    "eps_target": ({"kind": "nisan", "t": 4, "w": 4, "eps_target": "1/4"},
+                   lambda v: base_nisan(4, 4, v)),
+    "measured_eps": ({"kind": "nisan", "t": 4, "w": 4, "eps_target": "1/4", "measured_eps": "1/8"},
+                     lambda v: with_measured_error(base_nisan(4, 4, Fraction(1, 4)), v)),
+}
+
+
+@pytest.mark.parametrize("value", ["-1/2", "3/2"])
+@pytest.mark.parametrize("field", BUDGET_FIELDS)
+def test_budget_fields_refuse_values_outside_the_unit_interval(field, value):
+    # a budget is also a hitting threshold: below 0 it would demand a witness
+    # for programs of probability 0
+    data, build = BUDGET_FIELDS[field]
+    with pytest.raises(ParameterError, match=field):
+        generator_from_json({**data, field: value})
+    with pytest.raises(ParameterError, match=field):
+        build(Fraction(value))
+    for edge in (0, 1):
+        assert generator_from_json({**data, field: str(edge)}).eps_budget == edge
+        assert build(Fraction(edge)).eps_budget == edge
 
 
 def test_inw_stretch_perfect_extractor_concatenates():
@@ -306,8 +317,8 @@ def test_expand_all_matches_expand_int_everywhere():
     # every node kind is registered, and every registered kind is covered
     assert kinds == {
         "exhaustive", "exhaustive_rect", "nisan", "pairwise_rect", "inw",
-        "rect_compose", "interleave", *HSG_KINDS,
-    } == {"exhaustive", *NODES, *HSG_KINDS}
+        "rect_compose", "interleave",
+    } == {"exhaustive", *NODES}
 
 
 def expand_by_eval(g, seed):
@@ -361,7 +372,7 @@ def test_output_counts_match_unique_of_expand_all():
     assert max(nested.output_counts()[1]) > 1
     assert kinds == {
         "exhaustive", "exhaustive_rect", "nisan", "pairwise_rect", "inw",
-        "rect_compose", "interleave", *HSG_KINDS,
+        "rect_compose", "interleave",
     }
 
 
@@ -371,9 +382,7 @@ def test_output_counts_refuse_as_expand_all_does():
     for g, caps in (
         (base_exhaustive(10), (8,)),
         (product, (8,)),  # each half fits the cap, the product does not
-        (from_prg(product), (8,)),
         (interleave(half, half), (8, 24)),
-        (from_prg(interleave(half, half)), (8, 24)),
     ):
         for cap in caps:
             with pytest.raises(CapExceeded) as want:
@@ -433,7 +442,7 @@ def test_generator_json_roundtrip():
     ]
     for g in specs:
         data = json.loads(json.dumps(g.to_json()))
-        back = hsg_from_json(data) if data["kind"] in HSG_KINDS else generator_from_json(data)
+        back = generator_from_json(data)
         assert back == g
         assert back.eps_budget == g.eps_budget
 

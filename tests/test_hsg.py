@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,9 @@ from swprg.bp import LayeredProgram, acceptance_probability
 from swprg.errors import ConfigurationError, ParameterError, ShapeError
 from swprg.generators import (
     ExhaustiveRectangle,
+    Interleave,
     PairwiseRectangle,
+    RectCompose,
     base_exhaustive,
     base_nisan,
     build_swbp_prg,
@@ -16,49 +19,76 @@ from swprg.generators import (
     rect_compose,
     with_measured_error,
 )
-from swprg.hsg import (
-    build_swbp_hsg,
-    from_prg,
-    hsg_exhaustive,
-    hsg_from_json,
-    hsg_interleave,
-    hsg_rect_compose,
-)
+from swprg.hsg import CARRIERS, build_swbp_hsg, hsg_exhaustive, hsg_from_json
 from swprg.lab import enumerate_swbp_family, hitting_check
 
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
-def test_from_prg_threshold_is_prg_budget():
+
+def hsg_json(g, kind="prg_as_hsg", threshold=None):
+    """An HSG config over the carrier ``g``, written by hand: the wrapper of
+    ``kind`` at ``threshold``, by default ``g``'s budget."""
+    threshold = g.eps_budget if threshold is None else threshold
+    data = {"kind": kind, "carrier": g.to_json(), "threshold": str(threshold)}
+    return json.loads(json.dumps(data))
+
+
+def old_thresholds(g):
+    """Every threshold the HSG rules of earlier versions derived over the
+    carrier ``g``: its budget; 2 * max(r * thr, eps_cr) over each threshold
+    of a rectangle composition's base; 2 * max over each pair of thresholds
+    of an interleave's halves."""
+    found = {g.eps_budget}
+    if isinstance(g, RectCompose):
+        found |= {2 * max(g.blocks * thr, g.rect.eps_budget) for thr in old_thresholds(g.base)}
+    elif isinstance(g, Interleave):
+        found |= {2 * max(a, b) for a in old_thresholds(g.g1) for b in old_thresholds(g.g2)}
+    return found
+
+
+def test_prg_as_hsg_threshold_is_prg_budget():
     g = with_measured_error(base_nisan(4, 2, Fraction(1, 4)), Fraction(1, 8))
-    h = from_prg(g)
-    assert h.eps_budget == Fraction(1, 8)
-    assert h.d == g.d and h.flat_bits == g.flat_bits
+    h = hsg_from_json(hsg_json(g))
+    assert h == g and h.eps_budget == Fraction(1, 8)
+    # the configured target is not the budget once an error is measured
+    with pytest.raises(ConfigurationError, match="1/8, the budget of its nisan carrier"):
+        hsg_from_json(hsg_json(g, threshold=Fraction(1, 4)))
 
 
 def test_hsg_rect_threshold():
-    base = from_prg(with_measured_error(base_nisan(4, 2, Fraction(1, 4)), Fraction(1, 8)))
-    rect = ExhaustiveRectangle(4, base.d)
-    h = hsg_rect_compose(base, rect)
-    assert h.eps_budget == 2 * max(4 * Fraction(1, 8), Fraction(0))
-    assert h.blocks == 4
+    # the carrier's budget 4 * 0 + 1/8, not the old rule's 2 * max(4 * 0, 1/8)
+    g = rect_compose(base_exhaustive(2), PairwiseRectangle(4, 2, Fraction(1, 8)))
+    assert hsg_from_json(hsg_json(g, "hsg_rect")) == g
+    assert g.eps_budget == Fraction(1, 8) and g.blocks == 4
+    with pytest.raises(ConfigurationError, match="not 1/8"):
+        hsg_from_json(hsg_json(g, "hsg_rect", Fraction(1, 4)))
 
 
 def test_hsg_interleave_threshold():
-    a = hsg_exhaustive(2)
-    b = hsg_exhaustive(2)
-    h = hsg_interleave(a, b)
-    assert h.eps_budget == 0
-    assert h.blocks == 2
+    g = interleave(hsg_exhaustive(2), hsg_exhaustive(2))
+    assert hsg_from_json(hsg_json(g, "hsg_interleave")).eps_budget == 0
+    assert g.blocks == 2
+    # twice the larger half's budget; the old rule read each half as an HSG first
+    nisan = with_measured_error(base_nisan(2, 2, Fraction(1, 4)), Fraction(1, 16))
+    half = rect_compose(nisan, PairwiseRectangle(4, nisan.d, Fraction(1, 8)))
+    g = interleave(half, half)
+    assert hsg_from_json(hsg_json(g, "hsg_interleave")).eps_budget == Fraction(3, 4)
+    with pytest.raises(ConfigurationError):
+        hsg_from_json(hsg_json(g, "hsg_interleave", 1))
 
 
 def test_build_swbp_hsg_shapes():
     h = build_swbp_hsg(8, 2, 4, hsg_exhaustive(2))
     assert h.flat_bits == 8
     assert h.eps_budget == 0
-    assert h.carrier == build_swbp_prg(8, 2, 4, base_exhaustive(2), "rect")
+    assert h == build_swbp_prg(8, 2, 4, base_exhaustive(2), "rect")
+    # the PRG pipeline's budget 2 * (4 * 1/16), where the old HSG rules gave 1
+    nisan = with_measured_error(base_nisan(2, 2, Fraction(1, 4)), Fraction(1, 16))
+    assert build_swbp_hsg(16, 2, 4, nisan).eps_budget == Fraction(1, 2)
     with pytest.raises(ParameterError):
         build_swbp_hsg(10, 2, 4, hsg_exhaustive(2))
     with pytest.raises(ShapeError):
-        build_swbp_hsg(8, 2, 4, from_prg(base_exhaustive(4)))
+        build_swbp_hsg(8, 2, 4, base_exhaustive(4))
     with pytest.raises(ShapeError, match="rectangle must emit 2 blocks of 2 bits"):
         build_swbp_hsg(8, 2, 4, hsg_exhaustive(2), ExhaustiveRectangle(2, 3))
 
@@ -88,73 +118,73 @@ def test_hitting_contract_family_wide():
 
 def test_hsg_json_roundtrip():
     h = build_swbp_hsg(8, 2, 4, hsg_exhaustive(2))
-    back = hsg_from_json(json.loads(json.dumps(h.to_json())))
-    assert back.carrier == h.carrier
-    assert back.threshold == h.threshold
-    assert back.kind == h.kind
+    for kind in ("prg_as_hsg", "hsg_interleave"):
+        back = hsg_from_json(hsg_json(h, kind))
+        assert back == h and back.eps_budget == h.eps_budget
 
 
 def test_hsg_from_json_derives_the_threshold():
-    nisan = from_prg(with_measured_error(base_nisan(2, 2, Fraction(1, 4)), Fraction(1, 16)))
+    nisan = with_measured_error(base_nisan(2, 2, Fraction(1, 4)), Fraction(1, 16))
     found = rect_compose(base_exhaustive(2), PairwiseRectangle(2, 2, Fraction(1, 8)))
-    rect = hsg_rect_compose(nisan, PairwiseRectangle(4, nisan.d, Fraction(1, 8)))
-    cases = {
-        nisan: Fraction(1, 16),
-        rect: 2 * max(4 * Fraction(1, 16), Fraction(1, 8)),
-        hsg_interleave(nisan, nisan): Fraction(1, 8),
-        hsg_interleave(rect, rect): 1,
-        build_swbp_hsg(16, 2, 4, nisan): 2 * 2 * (4 * Fraction(1, 16)),
-        build_swbp_hsg(8, 2, 4, hsg_exhaustive(2)): 0,
-        # the halves are PRGs as HSGs over a rectangle composition
-        hsg_interleave(from_prg(found), from_prg(found)): Fraction(1, 4),
-    }
-    for h, threshold in cases.items():
-        data = json.loads(json.dumps(h.to_json()))
-        assert hsg_from_json(data) == h and h.threshold == threshold
-        for wrong in (threshold - Fraction(1, 64), threshold + Fraction(1, 64)):
-            with pytest.raises(ConfigurationError, match="rule derives"):
-                hsg_from_json({**data, "threshold": str(wrong)})
-    # a kind whose rule does not fit its carrier
-    for kind in ("hsg_rect", "hsg_interleave"):
+    rect = rect_compose(nisan, PairwiseRectangle(4, nisan.d, Fraction(1, 8)))
+    # carrier, kind, threshold: each the PRG budget, at or below the old rule's
+    cases = [
+        (nisan, "prg_as_hsg", Fraction(1, 16)),
+        (rect, "hsg_rect", 4 * Fraction(1, 16) + Fraction(1, 8)),  # was 1/2
+        (interleave(nisan, nisan), "hsg_interleave", Fraction(1, 8)),
+        (interleave(rect, rect), "hsg_interleave", Fraction(3, 4)),  # was 1
+        (build_swbp_hsg(16, 2, 4, nisan), "hsg_interleave", Fraction(1, 2)),  # was 1
+        (build_swbp_hsg(8, 2, 4, hsg_exhaustive(2)), "hsg_interleave", 0),
+        (interleave(found, found), "hsg_interleave", Fraction(1, 4)),
+    ]
+    for g, kind, threshold in cases:
+        assert hsg_from_json(hsg_json(g, kind)) == g and g.eps_budget == threshold
+        wrongs = {threshold - Fraction(1, 64), threshold + Fraction(1, 64)}
+        for wrong in wrongs | old_thresholds(g) - {threshold}:
+            with pytest.raises(ConfigurationError, match="the budget of its"):
+                hsg_from_json(hsg_json(g, kind, wrong))
+    # a kind whose carrier does not fit, and a kind no carrier has
+    for kind in ("hsg_rect", "hsg_interleave", "hsg_nisan"):
         with pytest.raises(ParameterError, match="cannot be carried"):
-            hsg_from_json({**hsg_exhaustive(2).to_json(), "kind": kind})
-
-
-def combinator_readings(base, rect):
-    """Every HSG the combinators build over ``rect_compose(base, rect)`` and
-    over the interleave of two of them."""
-    rc = rect_compose(base, rect)
-    halves = [from_prg(rc), hsg_rect_compose(from_prg(base), rect)]
-    whole = [from_prg(interleave(rc, rc))] + [hsg_interleave(a, b) for a in halves for b in halves]
-    return halves + whole
+            hsg_from_json(hsg_json(hsg_exhaustive(2), kind))
 
 
 def test_hsg_from_json_reads_every_combinator_reading():
+    # every kind that fits loads each carrier at its budget, the lowest
+    # threshold any old rule derived over it; the old rules' higher ones
+    # and the kinds that do not fit are refused
     nisan = with_measured_error(base_nisan(2, 2, Fraction(1, 4)), Fraction(1, 16))
     for base in (base_exhaustive(2), nisan):
         for rect in (ExhaustiveRectangle(2, base.d), PairwiseRectangle(2, base.d, Fraction(1, 8))):
-            readings = combinator_readings(base, rect)
-            for h in readings:
-                data = json.loads(json.dumps(h.to_json()))
-                assert hsg_from_json(data) == h
-                derived = {r.threshold for r in readings if (r.carrier, r.kind) == (h.carrier, h.kind)}
-                for wrong in (h.threshold - Fraction(1, 64), h.threshold + Fraction(1, 64)):
-                    assert wrong not in derived
-                    with pytest.raises(ConfigurationError, match="rule derives"):
-                        hsg_from_json({**data, "threshold": str(wrong)})
+            rc = rect_compose(base, rect)
+            for g in (base, rc, interleave(rc, rc)):
+                assert min(old_thresholds(g)) == g.eps_budget
+                for kind, carrier in CARRIERS.items():
+                    if not isinstance(g, carrier):
+                        with pytest.raises(ParameterError):
+                            hsg_from_json(hsg_json(g, kind))
+                        continue
+                    assert hsg_from_json(hsg_json(g, kind)) == g
+                    for old in old_thresholds(g) - {g.eps_budget}:
+                        with pytest.raises(ConfigurationError):
+                            hsg_from_json(hsg_json(g, kind, old))
 
 
 def test_hsg_from_json_reads_deep_interleaves_quickly():
     pairwise = PairwiseRectangle(2, 2, Fraction(1, 8))
-    leaves = (
-        hsg_exhaustive(1),  # depth 6 makes 64 bits
-        from_prg(rect_compose(base_exhaustive(2), pairwise)),
-        hsg_rect_compose(hsg_exhaustive(2), pairwise),
-    )
-    for h in leaves:
-        for _ in range(6):
-            h = hsg_interleave(h, h)
-        data = json.loads(json.dumps(h.to_json()))
+    for g in (hsg_exhaustive(1), rect_compose(base_exhaustive(2), pairwise)):
+        for _ in range(6):  # depth 6 makes 64 bits of exhaustive(1)
+            g = interleave(g, g)
+        data = hsg_json(g, "hsg_interleave")
         start = time.perf_counter()
-        assert hsg_from_json(data) == h
+        assert hsg_from_json(data) == g
         assert time.perf_counter() - start < 1
+
+
+def test_hsg_from_json_reads_the_benchmark_config():
+    data = json.loads((CONFIGS / "hit-family.json").read_text())["hsg"]
+    h = hsg_from_json(data)
+    assert data["kind"] == "hsg_interleave" and data["threshold"] == "0/1"
+    assert h.to_json() == data["carrier"] and h.eps_budget == 0
+    with pytest.raises(ConfigurationError):
+        hsg_from_json({**data, "threshold": "1/4"})

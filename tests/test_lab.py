@@ -32,7 +32,7 @@ from swprg.generators import (
     rect_compose,
     with_measured_error,
 )
-from swprg.hsg import from_prg, hsg_exhaustive, hsg_interleave
+from swprg.hsg import hsg_exhaustive
 from swprg.lab import (
     MaskFamily,
     batch_evaluate,
@@ -266,7 +266,7 @@ def test_fooling_report_and_csv():
 
 def test_reports_refuse_interleave_outside_its_window_class():
     g = interleave(base_exhaustive(2), base_exhaustive(2))
-    h = hsg_interleave(hsg_exhaustive(2), hsg_exhaustive(2))
+    h = interleave(hsg_exhaustive(2), hsg_exhaustive(2))
     fam = swbp_family(4, 4, budget_bits=4)  # window 4 > block_bits 2
     with pytest.raises(ConfigurationError, match="block_bits=2") as fooling:
         run_fooling_report(g, fam, g.eps_budget)
@@ -308,7 +308,7 @@ def test_interleave_report_builds_no_seed_sized_array():
     finally:
         tracemalloc.stop()
     assert g.d == 20 and report.work["distinct_outputs"] == 144 * 144
-    assert report.work["seeds_expanded"] == from_prg(g).seeds_expanded == 2 << 10
+    assert report.work["seeds_expanded"] == g.seeds_expanded == 2 << 10
     assert peak < 8 << 20  # one uint64 array of 2**20 outputs
     per_seed = [fooling_error(g, fam.program(m)) for m in (0, len(fam) - 1)]
     assert [report.rows[0][1], report.rows[-1][1]] == [str(e) for e in per_seed]
@@ -390,15 +390,15 @@ def test_family_counts_match_per_program_oracles():
 def test_prg_hsg_needs_no_witness_at_its_threshold():
     # this family's worst fooling error is exactly the base's measured 1/8, so
     # programs accepted with probability exactly 1/8 may miss every output;
-    # a PRG-derived HSG promises to hit only those accepted above it
-    h = from_prg(with_measured_error(base_nisan(4, 4, Fraction(1, 4)), Fraction(1, 8)))
+    # a PRG read as an HSG promises to hit only those accepted above it
+    h = with_measured_error(base_nisan(4, 4, Fraction(1, 4)), Fraction(1, 8))
     fam = swbp_family(4, 2)
-    assert run_fooling_report(h.carrier, fam, h.eps_budget).worst_error == h.eps_budget
+    assert run_fooling_report(h, fam, h.eps_budget).worst_error == h.eps_budget
     report = run_hitting_report(h, fam)
     assert report.passed and report.required > 0
     for i in (1641, 2454):
         assert acceptance_probability(fam.program(i)) == h.eps_budget
-        assert hitting_check(h.carrier, fam.program(i)) is None
+        assert hitting_check(h, fam.program(i)) is None
 
 
 def test_uniform_counts_without_input_enumeration():

@@ -22,7 +22,7 @@ from swprg.generators import (
     interleave,
     rect_compose,
 )
-from swprg.hsg import from_prg, hsg_exhaustive
+from swprg.hsg import hsg_exhaustive
 from swprg.lab import batch_evaluate
 from swprg.paca import (
     Paca,
@@ -346,7 +346,7 @@ def test_derandomize_one_sided_through_pairwise_hsg():
         x = tuple(rng.choice(c.sigma) for _ in range(n))
         m = (n + T) * T
         k = next(k for k in (3, 2, 5) if m % k == 0)
-        h = from_prg(rect_compose(base_exhaustive(k), PairwiseRectangle(m // k, k)))
+        h = rect_compose(base_exhaustive(k), PairwiseRectangle(m // k, k))
         decision = derandomize_one_sided(c, x, Fraction(1, 4), lambda m, thr: h)
         matrices = (derived_matrix(stream_to_matrix(int(r), n, T), n, T) for r in h.expand_all())
         assert decision == any(accepts(c, x, R).accept for R in matrices)

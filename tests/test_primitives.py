@@ -227,6 +227,18 @@ def test_extractor_from_json_refuses_a_stated_eps_or_bias():
         extractor_from_json({**data, "eps": str(ext.eps * 2)})
 
 
+def test_extractor_from_json_refuses_stated_perfect_fields():
+    # a perfect extractor is rebuilt from its n; a differing d, k or eps was
+    # silently rewritten, and is refused now
+    data = perfect_extractor(3).to_json()
+    assert extractor_from_json(data) == extractor_from_json({"kind": "perfect", "n": 3})
+    with pytest.raises(ConfigurationError):
+        extractor_from_json({"kind": "perfect", "n": 3, "d": 9, "k": 2, "eps": "1/2"})
+    for name, value in (("d", 9), ("k", 2), ("eps", "1/2"), ("bias", "0")):
+        with pytest.raises(ConfigurationError, match=name):
+            extractor_from_json({**data, name: value})
+
+
 def test_min_entropy_flat():
     assert min_entropy(flat_source(range(8))) == 3.0
 
