@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .bits import BitString
 from .errors import ParameterError, ShapeError
@@ -34,24 +34,15 @@ class LayeredProgram:
     acc: Tuple[frozenset, ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.w < 1:
-            raise ParameterError("length and width must be positive")
-        if not 0 <= self.q0 < self.w:
+        if not (type(self.n) is type(self.w) is int and self.n >= 1 and self.w >= 1):
+            raise ParameterError("length and width must be positive ints")
+        if type(self.q0) is not int or not 0 <= self.q0 < self.w:
             raise ParameterError("initial state out of range")
-        if len(self.trans) != self.n or len(self.acc) != self.n:
-            raise ParameterError("need one transition table and accepting set per layer")
-        for i, table in enumerate(self.trans):
-            if len(table) != self.w:
-                raise ParameterError(f"layer {i + 1} table has wrong size")
-            try:
-                for on0, on1 in table:
-                    if not (0 <= on0 < self.w and 0 <= on1 < self.w):
-                        raise ParameterError(f"layer {i + 1} transition leaves the state set")
-            except (TypeError, ValueError):
-                raise ParameterError(f"layer {i + 1} transition is not a pair of states") from None
-        for i, a in enumerate(self.acc):
-            if not a <= frozenset(range(self.w)):
-                raise ParameterError(f"layer {i + 1} accepting set leaves the state set")
+        if not (isinstance(self.acc, tuple) and len(self.trans) == len(self.acc) == self.n):
+            raise ParameterError("need tuples of one transition table and accepting set per layer")
+        for i, part in enumerate((self.trans, *self.acc)):
+            if _CHECKED.get((self.w, i, id(part))) is not part:
+                _check_part(self.w, i, part)
 
     def run_word(self, layer: int, q: int, word: Sequence[int]) -> int:
         """Extended transition: feed ``word`` starting at layer ``layer + 1``,
@@ -70,6 +61,37 @@ class LayeredProgram:
                 nxt.add(self.trans[i][q][1])
             sets.append(frozenset(nxt))
         return tuple(sets)
+
+
+# Parts that passed _check_part, by (width, part index, id): the object, not
+# its value, as an equal part may hold 1.0 or True for 1.  Held parts cannot
+# change and their ids are not reused; family members, which share most parts
+# with their base, pay a lookup per part.  Emptied once 256 are held.
+_CHECKED: Dict[Tuple[int, int, int], object] = {}
+
+
+def _check_part(w: int, i: int, part) -> None:
+    """Refuse part ``i`` of a width-``w`` program, the transition tables
+    (``i == 0``) or layer i's accepting set, unless it holds only int
+    states below ``w``; hold it in ``_CHECKED`` if it passes."""
+    if i == 0:
+        if not isinstance(part, tuple):
+            raise ParameterError("transition tables must be a tuple")
+        for layer, table in enumerate(part, 1):
+            if len(table) != w:
+                raise ParameterError(f"layer {layer} table has wrong size")
+            try:
+                hash(table)
+                for on0, on1 in table:
+                    if not (type(on0) is type(on1) is int and 0 <= on0 < w and 0 <= on1 < w):
+                        raise ParameterError(f"layer {layer} transition leaves the state set")
+            except (TypeError, ValueError):
+                raise ParameterError(f"layer {layer} transition is not a pair of states") from None
+    elif not (isinstance(part, frozenset) and all(type(q) is int and 0 <= q < w for q in part)):
+        raise ParameterError(f"layer {i} accepting set leaves the state set")
+    if len(_CHECKED) >= 256:
+        _CHECKED.clear()
+    _CHECKED[w, i, id(part)] = part
 
 
 def evaluate(p: LayeredProgram, x: Sequence[int]) -> bool:

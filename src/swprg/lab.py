@@ -161,9 +161,15 @@ class MaskFamily:
     positions: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        for layer, state in self.positions:
-            if not (1 <= layer <= self.base.n and 0 <= state < self.base.w):
+        bits = [0] * self.base.n
+        for j, (layer, state) in enumerate(self.positions):
+            if not (type(layer) is type(state) is int
+                    and 1 <= layer <= self.base.n and 0 <= state < self.base.w):
                 raise ParameterError(f"toggle position {(layer, state)} outside the program")
+            bits[layer - 1] |= 1 << j
+        # (layer index, mask bits of its positions, sets built so far by those
+        # bits) for each layer with toggle positions; see program()
+        object.__setattr__(self, "_layer_sets", [(i, b, {}) for i, b in enumerate(bits) if b])
         if self.k > DEFAULT_CAP_BITS:
             raise CapExceeded(
                 f"family has 2**{self.k} labelings (cap {DEFAULT_CAP_BITS} bits)", self.k
@@ -177,13 +183,22 @@ class MaskFamily:
         return 1 << self.k
 
     def program(self, mask: int) -> LayeredProgram:
-        """Program ``mask``, built on its own."""
-        acc = [set(a) for a in self.base.acc]
-        for j, (layer, state) in enumerate(self.positions):
-            if (mask >> j) & 1:
-                acc[layer - 1].discard(state)
+        """Program ``mask``: the base's accepting sets, but at each layer
+        with toggle positions the set for that layer's bits of ``mask``,
+        built the first time those bits are asked for.  Refuses a mask
+        outside 0..len(self) - 1 with IndexError."""
+        if not 0 <= mask < 1 << len(self.positions):
+            raise IndexError(mask)
+        acc = list(self.base.acc)
+        for i, bits, sets in self._layer_sets:
+            sub = mask & bits
+            a = sets.get(sub)
+            if a is None:
+                drop = {s for j, (_, s) in enumerate(self.positions) if sub >> j & 1}
+                a = sets[sub] = acc[i] - drop
+            acc[i] = a
         p = self.base
-        return LayeredProgram(p.n, p.w, p.q0, p.trans, tuple(frozenset(a) for a in acc))
+        return LayeredProgram(p.n, p.w, p.q0, p.trans, tuple(acc))
 
     def _visit_bits(self) -> List[List[int]]:
         """``[i][q]``: the bits of the toggle positions at layer i + 1, state q."""
@@ -238,14 +253,15 @@ def swbp_family(n: int, t: int, budget_bits: Optional[int] = None) -> MaskFamily
     (all of them by default) are toggled; positions beyond the budget stay
     accepting, and program 0 is the all-accepting program.  Every member is
     a window-t program (the property depends only on the transitions).
-    Refuses a budget outside 0..family_size_bits(n, t) with ParameterError,
-    and one over the cap with CapExceeded.
+    Refuses a budget that is not an int (a bool is not) or lies outside
+    0..family_size_bits(n, t) with ParameterError, and one over the cap
+    with CapExceeded.
     """
     positions = _label_positions(n, t)
     k = len(positions) if budget_bits is None else budget_bits
-    if not isinstance(k, int) or not 0 <= k <= len(positions):
+    if type(k) is not int or not 0 <= k <= len(positions):
         raise ParameterError(
-            f"budget_bits {budget_bits!r} outside 0..{len(positions)} for n={n} t={t}"
+            f"budget_bits {budget_bits!r} is not an int in 0..{len(positions)} for n={n} t={t}"
         )
     canonical, _ = canonical_debruijn_swbp(n, t)
     return MaskFamily(canonical, tuple(positions[:k]))
@@ -269,8 +285,8 @@ def concat_families(families: Sequence[MaskFamily]) -> MaskFamily:
 def enumerate_swbp_family(
     n: int, t: int, budget_bits: Optional[int] = None
 ) -> Iterator[LayeredProgram]:
-    """Every program of :func:`swbp_family` in mask order, each built on
-    its own."""
+    """Every program of :func:`swbp_family` in mask order, one at a time
+    (:meth:`MaskFamily.program`)."""
     family = swbp_family(n, t, budget_bits)
     for mask in range(len(family)):
         yield family.program(mask)
@@ -375,6 +391,7 @@ class FoolingReport:
             "programs_checked": self.programs_checked,
             "seeds_enumerated": self.seeds_enumerated,
             "passed": self.passed,
+            "vacuous": self.eps_budget >= 1,
             "metadata": {"wall_seconds": self.wall_seconds, **self.work},
         }
 
@@ -434,6 +451,7 @@ class HittingReport:
             "witness_required": self.required,
             "missed_program_indices": self.missed,
             "passed": self.passed,
+            "vacuous": self.threshold >= 1,
             "metadata": {"wall_seconds": self.wall_seconds, **self.work},
         }
 

@@ -316,3 +316,52 @@ def test_bad_parameters():
         canonical_debruijn_swbp(3, 4)
     with pytest.raises(ParameterError):
         LayeredProgram(1, 1, 0, (((0, 1),),), (frozenset({0}),))
+
+
+def test_states_must_be_ints():
+    # a 1.5 used to load: batch_evaluate's int64 table read it as 1 while
+    # the uniform DP read it as a rejecting state, so fooling errors were wrong
+    table = ((0, 1), (1, 0))
+    full = frozenset({0, 1})
+    assert LayeredProgram(2, 2, 0, (table, table), (full, full)).w == 2
+    bad = [
+        (2, 2, 0, (table, ((0, 1.5), (1, 0))), (full, full)),
+        (2, 2, 0, (table, ((0, True), (1, 0))), (full, full)),
+        (2, 2, 0, (table, ((0, 1.0), (1, 0))), (full, full)),  # equal to a checked table
+        (2, 2, 1.0, (table, table), (full, full)),
+        (2, 2, True, (table, table), (full, full)),
+        (2, 2, 0, (table, table), (full, frozenset({0, 1.0}))),
+        (2, 2, 0, (table, table), (full, frozenset({0, True}))),
+        (2, 2, 0, (table, table), (full, {0, 1})),  # a mutable set
+        (2, 2, 0, (table, table), [full, full]),  # a list of sets
+        (2, 2.0, 0, (table, table), (full, full)),
+        (2.0, 2, 0, (table, table), (full, full)),
+    ]
+    for args in bad:
+        with pytest.raises(ParameterError):
+            LayeredProgram(*args)
+
+
+def test_transition_tables_are_checked_once_and_refused_every_time():
+    good = tuple(((q + 1) % 4, q) for q in range(4))
+    full = frozenset(range(4))
+    assert LayeredProgram(3, 4, 0, (good,) * 3, (full,) * 3).n == 3
+    malformed = ((0, 1), (1, 4))
+    unhashable = [[(0, 1), (1, 0)]]
+    for _ in range(3):
+        with pytest.raises(ParameterError):
+            LayeredProgram(1, 2, 0, (malformed,), (frozenset({0}),))
+        with pytest.raises(ParameterError):
+            LayeredProgram(1, 2, 0, unhashable, (frozenset({0}),))
+        with pytest.raises(ParameterError):
+            LayeredProgram(1, 2, 0, ([(0, 1), (1, 0)],), (frozenset({0}),))
+    # the table object that passed at w = 4 has too many rows for w = 2
+    trans = (good,) * 3
+    assert LayeredProgram(3, 4, 0, trans, (full,) * 3).w == 4
+    with pytest.raises(ParameterError):
+        LayeredProgram(3, 2, 0, trans, (frozenset({0}),) * 3)
+    # at the same width, a checked table is no accepting set, nor a set a table
+    with pytest.raises(ParameterError):
+        LayeredProgram(3, 4, 0, trans, (trans, full, full))
+    with pytest.raises(ParameterError):
+        LayeredProgram(4, 4, 0, full, (full,) * 4)

@@ -287,6 +287,22 @@ def test_window_check_refuses_a_transition_that_is_not_a_pair(tmp_path, entry):
     assert not out.exists()
 
 
+def test_verify_fool_refuses_a_state_that_is_not_an_int(tmp_path):
+    # a 1.5 used to load, and the exhaustive generator (error 0 by
+    # construction) was reported at worst_error 1/4 with exit 1
+    p, _ = bp.canonical_debruijn_swbp(2, 2)
+    data = bp.program_to_json(p)
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(json.dumps(data))
+    config = {"generator": {"kind": "exhaustive", "t": 2}, "program": str(prog_path)}
+    assert run(tmp_path, "verify-fool", config)[0] == EXIT_PASS
+    data["layers"][1]["trans"][0] = [0, 1.5]
+    prog_path.write_text(json.dumps(data))
+    code, out = run(tmp_path, "verify-fool", config, ["--out", str(tmp_path / "bad")])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("change", [
     {"generators": [1]},
     {"generators": [0, 1, 2, 4]},

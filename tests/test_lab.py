@@ -26,6 +26,7 @@ from swprg import generators
 from swprg.generators import (
     Exhaustive,
     ExhaustiveRectangle,
+    PairwiseRectangle,
     base_exhaustive,
     base_nisan,
     interleave,
@@ -57,6 +58,17 @@ def acceptance_probability_bruteforce(p):
         )
     inputs = np.arange(1 << p.n, dtype=np.uint64)
     return Fraction(int(batch_evaluate(p, inputs).sum()), 1 << p.n)
+
+
+def program_reference(family, mask):
+    """Program ``mask`` of ``family``, built on its own: copy every
+    accepting set, discard the toggled states, freeze them again."""
+    acc = [set(a) for a in family.base.acc]
+    for j, (layer, state) in enumerate(family.positions):
+        if (mask >> j) & 1:
+            acc[layer - 1].discard(state)
+    p = family.base
+    return LayeredProgram(p.n, p.w, p.q0, p.trans, tuple(frozenset(a) for a in acc))
 
 
 class ConstantGen:
@@ -229,6 +241,45 @@ def test_family_budget_out_of_range_refused():
         with pytest.raises(ParameterError):
             next(enumerate_swbp_family(4, 2, budget_bits=budget))
     assert len(swbp_family(4, 2, 14)) == 1 << 14
+    # a bool is not a budget: True used to build the k = 1 family
+    with pytest.raises(ParameterError):
+        swbp_family(4, 2, True)
+
+
+def test_family_refuses_a_mask_outside_it():
+    # 8 used to give program 0 and -1 program 7
+    fam = swbp_family(4, 2, 3)
+    assert fam.program(7) == program_reference(fam, 7)
+    for mask in (8, -1, 1 << 20):
+        with pytest.raises(IndexError):
+            fam.program(mask)
+    canon, _ = canonical_debruijn_swbp(4, 2)
+    for position in ((2.0, 1), (2, 1.0), (True, 1), (5, 0), (2, 4)):
+        with pytest.raises(ParameterError):
+            MaskFamily(canon, ((1, 0), position))
+
+
+def test_members_match_the_copy_and_discard_reference():
+    blocks = [swbp_family(3, 2, 3), swbp_family(4, 2, 5)]
+    canon, _ = canonical_debruijn_swbp(3, 2)
+    families = [
+        swbp_family(8, 2, 13),
+        swbp_family(4, 2),  # the full class, 2**14 members
+        concat_families(blocks),
+        # positions interleave layers, and (2, 0) is toggled by two bits
+        MaskFamily(canon, ((2, 0), (1, 1), (2, 1), (2, 0))),
+    ]
+    for fam in families:
+        for mask in range(len(fam)):
+            p, ref = fam.program(mask), program_reference(fam, mask)
+            assert (p.trans, p.acc) == (ref.trans, ref.acc), mask
+            assert p == ref
+    hand = families[-1]
+    assert hand.program(0b1000).acc[1] == hand.program(0b0001).acc[1] == frozenset({1, 2, 3})
+    assert hand.program(0b0010).acc[0] == frozenset({0})
+    # asking again gives the same sets, and the base's untoggled sets are shared
+    assert families[0].program(5).acc == families[0].program(5).acc
+    assert families[0].program(5).acc[0] is families[0].base.acc[0]
 
 
 def test_family_budget_over_cap_refused():
@@ -312,6 +363,60 @@ def test_interleave_report_builds_no_seed_sized_array():
     assert peak < 8 << 20  # one uint64 array of 2**20 outputs
     per_seed = [fooling_error(g, fam.program(m)) for m in (0, len(fam) - 1)]
     assert [report.rows[0][1], report.rows[-1][1]] == [str(e) for e in per_seed]
+
+
+def test_members_built_on_many_threads_match_the_reference():
+    # the family's set memo and bp's memo of checked parts are shared; a lost
+    # or torn update would hand a thread a wrong or unchecked set
+    import sys
+    import threading
+
+    fams = [swbp_family(4, 2), swbp_family(5, 2, 12)]
+    want = [[program_reference(f, m) for m in range(0, len(f), 7)] for f in fams]
+    got, errors = {}, []
+
+    def build(w):
+        try:
+            for k, f in enumerate(fams):
+                masks = range(0, len(f), 7)
+                got[w, k] = [f.program(m) for m in (masks if w % 2 else reversed(masks))]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(w,)) for w in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and not errors
+    for (w, k), programs in got.items():
+        assert programs == (want[k] if w % 2 else want[k][::-1])
+    assert len(got) == 12
+
+
+def test_reports_say_when_their_check_is_vacuous():
+    # a budget of 1 or more fails no program: rect_compose over the trivial
+    # eps_cr = 1 has budget 1, and its interleave 2 (2 * max)
+    g = rect_compose(base_exhaustive(2), PairwiseRectangle(4, 2))
+    for h, fam in ((g, swbp_family(8, 2, 8)), (interleave(g, g), swbp_family(16, 2, 8))):
+        report = run_hitting_report(h, fam).to_json()
+        assert Fraction(report["threshold"]) == h.eps_budget >= 1
+        assert report["witness_required"] == 0 and report["passed"]
+        assert report["vacuous"] is True
+        fooling = run_fooling_report(h, fam, h.eps_budget).to_json()
+        assert fooling["passed"] and fooling["vacuous"] is True
+    h = with_measured_error(base_nisan(4, 4, Fraction(1, 4)), Fraction(1, 2))
+    fam = swbp_family(4, 2, 8)
+    report = run_hitting_report(h, fam).to_json()
+    assert report["threshold"] == "1/2" and report["vacuous"] is False
+    assert report["witness_required"] > 0
+    fooling = run_fooling_report(h, fam, h.eps_budget).to_json()
+    assert fooling["eps_budget"] == "1/2" and fooling["vacuous"] is False
 
 
 def test_hitting_report():

@@ -5,6 +5,7 @@ name a benchmark script imports or reads must still resolve."""
 
 import ast
 import importlib
+import inspect
 import importlib.util
 from pathlib import Path
 
@@ -42,6 +43,8 @@ def test_every_traced_boundary_resolves():
         if not callable(_resolve(module_name, attr)):
             missing.append(f"{module_name}.{attr}")
     assert not missing
+    # Tracer.wrap_generator times it item by item, so it must stay a generator
+    assert inspect.isgeneratorfunction(importlib.import_module("swprg.lab").enumerate_swbp_family)
 
 
 PERFBENCH = TRACING.parent
