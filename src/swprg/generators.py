@@ -41,28 +41,33 @@ def iter_ints(array: np.ndarray) -> Iterator[int]:
 class GeneratorSpec:
     """Base class; concrete nodes are frozen dataclasses below.
 
-    A node declares its JSON ``kind`` and defines its shape (``d``,
-    ``blocks``, ``block_bits``), ``eps_budget`` and one expansion method,
+    A node declares its JSON ``kind`` and one expansion method,
     :meth:`expand_seeds`; every other expansion is derived from it, and so
     is :meth:`output_counts` unless a node can count its outputs without
-    expanding every seed.  Its JSON is its kind and its dataclass fields
-    (:meth:`to_json`), read back through the :data:`NODES` registry.  numpy
-    is imported by the methods that build arrays, so building and
-    describing a node loads none of it.
+    expanding every seed.  Its ``__post_init__`` checks its fields and
+    derives, once, its shape (``d``, ``blocks``, ``block_bits``), its
+    ``eps_budget`` and its ``window``: the largest program window the budget
+    is argued for, ``None`` for any.  The derived values are plain instance
+    values, not fields, so they are not written, compared or hashed.  Its
+    JSON is its kind and its dataclass fields (:meth:`to_json`), read back
+    through the :data:`NODES` registry.  numpy is imported by the methods
+    that build arrays, so building and describing a node loads none of it.
     """
 
     kind: str
     d: int
     blocks: int
     block_bits: int
+    eps_budget: Fraction
+    window: Optional[int] = None
+
+    def _derive(self, **values) -> None:
+        """Store derived values on the frozen node (its ``__post_init__``)."""
+        vars(self).update(values)
 
     @property
     def flat_bits(self) -> int:
         return self.blocks * self.block_bits
-
-    @property
-    def eps_budget(self) -> Fraction:
-        raise NotImplementedError
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         """Flat outputs, packed into uint64, of a uint64 array of seeds.
@@ -87,6 +92,8 @@ class GeneratorSpec:
     def expand_int(self, seed: int) -> int:
         import numpy as np
 
+        if not 0 <= seed < 1 << self.d:
+            raise ShapeError(f"seed {seed} is outside 0..2**{self.d} - 1")
         self._check_packs()
         return int(self.expand_seeds(np.array([seed], dtype=np.uint64))[0])
 
@@ -197,16 +204,11 @@ class Exhaustive(GeneratorSpec):
     kind = "exhaustive_rect"  # a one-block one writes {"kind": "exhaustive", "t"}
     blocks: int
     block_bits: int
+    eps_budget = Fraction(0)
 
-    __post_init__ = _check_ints
-
-    @property
-    def d(self) -> int:
-        return self.blocks * self.block_bits
-
-    @property
-    def eps_budget(self) -> Fraction:
-        return Fraction(0)
+    def __post_init__(self):
+        _check_ints(self)
+        self._derive(d=self.blocks * self.block_bits)
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         return seeds
@@ -250,35 +252,20 @@ class NisanBase(GeneratorSpec):
         if self.levels is None:
             object.__setattr__(self, "levels", (self.t - 1).bit_length())
         _check_ints(self, "levels", least=0)
-        if (self.word << self.levels) != self.t:
-            raise ParameterError(
-                f"t={self.t} is not word * 2**levels; pad t to a power of two"
-            )
-
-    @property
-    def word(self) -> int:
         word = self.t >> self.levels
         if word < 1:
             raise ParameterError("more levels than output bits")
-        return word
-
-    @property
-    def hash_family(self) -> HashFamily:
-        return HashFamily(self.word, self.word)
-
-    @property
-    def d(self) -> int:
-        return self.word + self.levels * self.hash_family.seed_bits
+        if (word << self.levels) != self.t:
+            raise ParameterError(
+                f"t={self.t} is not word * 2**levels; pad t to a power of two"
+            )
+        fam = HashFamily(word, word)
+        self._derive(
+            word=word, hash_family=fam, d=word + self.levels * fam.seed_bits, block_bits=self.t,
+            eps_budget=self.eps_target if self.measured_eps is None else self.measured_eps,
+        )
 
     blocks = 1
-
-    @property
-    def block_bits(self) -> int:
-        return self.t
-
-    @property
-    def eps_budget(self) -> Fraction:
-        return self.measured_eps if self.measured_eps is not None else self.eps_target
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -327,19 +314,8 @@ class PairwiseRectangle(GeneratorSpec):
     def __post_init__(self):
         _check_ints(self)
         _check_budgets(self, "eps_cr")
-
-    @property
-    def hash_family(self) -> HashFamily:
-        a = max(1, (self.blocks - 1).bit_length())
-        return HashFamily(a, self.block_bits)
-
-    @property
-    def d(self) -> int:
-        return self.hash_family.seed_bits
-
-    @property
-    def eps_budget(self) -> Fraction:
-        return self.eps_cr
+        fam = HashFamily(max(1, (self.blocks - 1).bit_length()), self.block_bits)
+        self._derive(hash_family=fam, d=fam.seed_bits, eps_budget=self.eps_cr)
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -366,7 +342,8 @@ class InwStretch(GeneratorSpec):
 
     Seed = inner seed (low bits) then extractor seed.  Budget
     3 * max(inner error, extractor error): the lemma's single epsilon taken
-    as a conservative max over the two roles.
+    as a conservative max over the two roles; it holds where the inner
+    budget does, so the window is the inner one.
     """
 
     kind = "inw"
@@ -378,22 +355,11 @@ class InwStretch(GeneratorSpec):
             raise ShapeError(
                 f"extractor works on {self.extractor.n} bits, inner seed has {self.inner.d}"
             )
-
-    @property
-    def d(self) -> int:
-        return self.inner.d + self.extractor.d
-
-    @property
-    def blocks(self) -> int:
-        return 2 * self.inner.blocks
-
-    @property
-    def block_bits(self) -> int:
-        return self.inner.block_bits
-
-    @property
-    def eps_budget(self) -> Fraction:
-        return 3 * max(self.inner.eps_budget, self.extractor.eps)
+        inner = self.inner
+        self._derive(
+            d=inner.d + self.extractor.d, blocks=2 * inner.blocks, block_bits=inner.block_bits,
+            eps_budget=3 * max(inner.eps_budget, self.extractor.eps), window=inner.window,
+        )
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -437,22 +403,11 @@ class RectCompose(GeneratorSpec):
                 f"rectangle blocks carry {self.rect.block_bits} bits, "
                 f"base seed needs {self.base.d}"
             )
-
-    @property
-    def d(self) -> int:
-        return self.rect.d
-
-    @property
-    def blocks(self) -> int:
-        return self.rect.blocks
-
-    @property
-    def block_bits(self) -> int:
-        return self.base.block_bits
-
-    @property
-    def eps_budget(self) -> Fraction:
-        return self.blocks * self.base.eps_budget + self.rect.eps_budget
+        rect = self.rect
+        self._derive(
+            d=rect.d, blocks=rect.blocks, block_bits=self.base.block_bits,
+            eps_budget=rect.blocks * self.base.eps_budget + rect.eps_budget,
+        )
 
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -482,7 +437,8 @@ class Interleave(GeneratorSpec):
     """Alternate the blocks of two same-shape generators: x1 y1 x2 y2 ...
 
     Independent seed halves (g1 low, g2 high).  Budget twice the larger
-    component budget, valid against window-size <= block_bits programs.
+    component budget, valid against window-size <= block_bits programs:
+    its ``window`` is its ``block_bits``.
     """
 
     kind = "interleave"
@@ -492,22 +448,11 @@ class Interleave(GeneratorSpec):
     def __post_init__(self):
         if (self.g1.blocks, self.g1.block_bits) != (self.g2.blocks, self.g2.block_bits):
             raise ShapeError("interleaved generators must have matching shapes")
-
-    @property
-    def d(self) -> int:
-        return self.g1.d + self.g2.d
-
-    @property
-    def blocks(self) -> int:
-        return 2 * self.g1.blocks
-
-    @property
-    def block_bits(self) -> int:
-        return self.g1.block_bits
-
-    @property
-    def eps_budget(self) -> Fraction:
-        return 2 * max(self.g1.eps_budget, self.g2.eps_budget)
+        g1, g2 = self.g1, self.g2
+        self._derive(
+            d=g1.d + g2.d, blocks=2 * g1.blocks, block_bits=g1.block_bits,
+            eps_budget=2 * max(g1.eps_budget, g2.eps_budget), window=g1.block_bits,
+        )
 
     def _merge(self, o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
         """Packed outputs whose blocks alternate those of ``o1`` and ``o2``."""

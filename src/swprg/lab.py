@@ -29,7 +29,6 @@ from .bp import (
     relabel,
 )
 from .errors import DEFAULT_CAP_BITS, CapExceeded, ConfigurationError, ParameterError, ShapeError
-from .generators import Interleave
 
 
 def program_tables(p: LayeredProgram) -> Tuple[np.ndarray, np.ndarray]:
@@ -72,16 +71,19 @@ def _check_width(g, p: LayeredProgram) -> None:
 
 
 def _check_class(g, p: LayeredProgram) -> None:
-    """Refuse a program outside the class where ``g``'s budget is argued: an
-    interleave pays 2*max only for windows of at most its ``block_bits``.
+    """Refuse a program outside the class where ``g``'s budget is argued: a
+    window above ``g.window`` (``None``, or no such attribute, for any).  An
+    interleave pays 2*max only for windows of at most its ``block_bits``,
+    and a node built on one, a nested interleave too, keeps its window.
     The window depends only on the transitions, which a family's members
     share with its base, so the base decides."""
-    if not isinstance(g, Interleave):
+    window = getattr(g, "window", None)
+    if window is None:
         return
-    result = check_window(p, min(g.block_bits, p.n))
+    result = check_window(p, min(window, p.n))
     if isinstance(result, WindowViolation):
         raise ConfigurationError(
-            f"interleave budget holds for window <= block_bits={g.block_bits}; the "
+            f"interleave budget holds for window <= block_bits={window}; the "
             f"programs are not: states {result.q} and {result.q_prime} of layer "
             f"{result.layer} disagree after {list(result.word)}"
         )

@@ -15,7 +15,7 @@ import swprg
 from swprg import bp, cli, generators, hsg
 from swprg.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from swprg.paca import Paca, build_c1, paca_to_json
-from swprg.primitives import cayley_extractor
+from swprg.primitives import cayley_extractor, perfect_extractor
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -174,24 +174,32 @@ def test_verify_fool_budget_violation(tmp_path):
     assert code == EXIT_FAIL
 
 
+NESTED_INTERLEAVE = generators.inw_stretch(
+    generators.interleave(generators.base_exhaustive(2), generators.base_exhaustive(2)),
+    perfect_extractor(4),
+)
+
+
 @pytest.mark.parametrize(
-    "command, key, spec, report",
+    "command, key, spec, report, n",
     [
         ("verify-fool", "generator",
          generators.interleave(generators.base_exhaustive(2), generators.base_exhaustive(2))
          .to_json(),
-         "fooling.json"),
+         "fooling.json", 4),
         ("verify-hit", "hsg",
          hsg_config(generators.interleave(hsg.hsg_exhaustive(2), hsg.hsg_exhaustive(2)),
                     "hsg_interleave"),
-         "hitting.json"),
+         "hitting.json", 4),
+        ("verify-fool", "generator", NESTED_INTERLEAVE.to_json(), "fooling.json", 8),
     ],
-    ids=["verify-fool", "verify-hit"],
+    ids=["verify-fool", "verify-hit", "verify-fool-nested"],
 )
-def test_interleave_window_precondition(tmp_path, command, key, spec, report):
-    # block_bits is 2: programs of window 3 or 4 are outside the budget's class
+def test_interleave_window_precondition(tmp_path, command, key, spec, report, n):
+    # block_bits is 2, also of the interleave under the stretch: programs of
+    # window 3 or 4 are outside the budget's class
     for t in (3, 4):
-        config = {key: spec, "family": {"n": 4, "t": t, "budget_bits": 4}}
+        config = {key: spec, "family": {"n": n, "t": t, "budget_bits": 4}}
         code, out = run(tmp_path, command, config)
         assert code == EXIT_CONFIG
         assert not out.exists()

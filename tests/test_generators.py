@@ -9,6 +9,7 @@ from swprg.bits import bits_to_int
 from swprg.errors import CapExceeded, ParameterError, ShapeError
 from swprg.generators import (
     CHUNK,
+    _expand_all_cached,
     NODES,
     ExhaustiveRectangle,
     PairwiseRectangle,
@@ -467,3 +468,81 @@ def test_node_json_matches_the_golden_text():
 def test_nisan_json_levels_default():
     data = {"kind": "nisan", "t": 4, "w": 4, "eps_target": "1/4"}
     assert generator_from_json(data) == base_nisan(4, 4, Fraction(1, 4))
+
+
+def golden_nodes():
+    return [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+
+
+def shape_of(g):
+    """(d, blocks, block_bits, eps_budget, window) of a node by the rules its
+    shape properties applied on every read, from its fields and its
+    children's alone."""
+    kind = g.kind
+    if kind == "exhaustive_rect":
+        return g.blocks * g.block_bits, g.blocks, g.block_bits, Fraction(0), None
+    if kind == "nisan":
+        word = g.t >> g.levels
+        eps = g.measured_eps if g.measured_eps is not None else g.eps_target
+        return word + g.levels * (word * word + word), 1, g.t, eps, None
+    if kind == "pairwise_rect":
+        a = max(1, (g.blocks - 1).bit_length())
+        return a * g.block_bits + g.block_bits, g.blocks, g.block_bits, g.eps_cr, None
+    if kind == "inw":
+        d, blocks, bits, eps, window = shape_of(g.inner)
+        return d + g.extractor.d, 2 * blocks, bits, 3 * max(eps, g.extractor.eps), window
+    if kind == "rect_compose":
+        d, blocks, _, eps_cr, _ = shape_of(g.rect)
+        bits, eps = shape_of(g.base)[2:4]
+        return d, blocks, bits, blocks * eps + eps_cr, None
+    assert kind == "interleave", kind
+    d1, blocks, bits, eps1, _ = shape_of(g.g1)
+    d2, _, _, eps2, _ = shape_of(g.g2)
+    return d1 + d2, 2 * blocks, bits, 2 * max(eps1, eps2), bits
+
+
+def test_derived_shapes_match_the_per_read_rules():
+    base = base_nisan(2, 2, Fraction(1, 4))
+    measured = with_measured_error(base, Fraction(1, 16))
+    specs = [generator_from_json(node) for node in golden_nodes()] + [
+        build_swbp_prg(16, 2, 4, b, strategy)
+        for b in (base_exhaustive(2), measured) for strategy in ("inw", "rect")
+    ] + [measured, rect_compose(measured, ExhaustiveRectangle(2, measured.d))]
+    for g in specs:
+        assert (g.d, g.blocks, g.block_bits, g.eps_budget, g.window) == shape_of(g), g
+    # the copy re-derives its budget; the original keeps its own
+    assert (base.eps_budget, measured.eps_budget) == (Fraction(1, 4), Fraction(1, 16))
+    assert build_swbp_prg(16, 2, 4, measured, "inw").window == 2
+
+
+def test_equal_specs_share_one_expansion():
+    # derived values are not fields: two separately built equal specs compare,
+    # hash and cache as one
+    first, second = (build_swbp_prg(8, 2, 4, with_measured_error(
+        base_nisan(2, 2, Fraction(1, 4)), Fraction(1, 16)), "inw") for _ in range(2))
+    assert first is not second and first.g1.inner.hash_family is not second.g1.inner.hash_family
+    assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+    _expand_all_cached.cache_clear()
+    table = first.expand_all()
+    misses = _expand_all_cached.cache_info().misses
+    assert second.expand_all() is table
+    assert _expand_all_cached.cache_info().misses == misses
+
+
+def test_expand_int_refuses_seeds_outside_the_seed_space():
+    first_of_kind = {}
+    for node in golden_nodes():
+        first_of_kind.setdefault(node["kind"], node)
+    assert set(first_of_kind) == {"exhaustive", *NODES}
+    for node in first_of_kind.values():
+        g = generator_from_json(node)
+        for seed in (-1, 1 << g.d):
+            with pytest.raises(ShapeError, match="outside"):
+                g.expand_int(seed)
+        for seed in (0, (1 << g.d) - 1):
+            assert g.expand_int(seed) == ref_expand(node, seed), (node["kind"], seed)
+    # the seed is refused before the output's packing is checked
+    with pytest.raises(ShapeError):
+        ExhaustiveRectangle(2, 40).expand_int(1 << 80)
+    with pytest.raises(CapExceeded):
+        ExhaustiveRectangle(2, 40).expand_int(0)

@@ -1,14 +1,21 @@
 """Static hygiene of the package, read with the stdlib ``ast`` only: every
 module-level import is referenced, no module imports ``hashlib`` at module
 level, and every local a function assigns is read (names starting with ``_``
-are exempt)."""
+are exempt).  One more check builds generator nodes: no class attribute hides
+a value a node derives at construction."""
 
 import ast
+import inspect
+import json
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
 
+from swprg.generators import Exhaustive, generator_from_json
+
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "swprg").glob("*.py"))
+GOLDEN = Path(__file__).with_name("golden_node_json.txt")
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
@@ -134,3 +141,33 @@ def test_no_module_imports_hashlib_at_module_level(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_assigned_local_is_read(path):
     assert dead_locals(ast.parse(path.read_text())) == []
+
+
+def hidden_values(node):
+    """The values ``node`` derived into its ``__dict__`` (every key beyond its
+    dataclass fields) that a property or another data descriptor of its
+    class hides from every read."""
+    derived = set(vars(node)) - {f.name for f in fields(node)}
+    return sorted(
+        key for key in derived
+        if inspect.isdatadescriptor(inspect.getattr_static(type(node), key, None))
+    )
+
+
+def test_hidden_values_finds_a_shadowing_property():
+    @dataclass(frozen=True)
+    class Shadowed(Exhaustive):
+        @property
+        def d(self):
+            return 0
+
+    node = Shadowed(1, 3)
+    assert (vars(node)["d"], node.d) == (3, 0)
+    assert hidden_values(node) == ["d"]
+
+
+def test_no_derived_generator_value_is_hidden():
+    for line in GOLDEN.read_text().splitlines():
+        node = generator_from_json(json.loads(line))
+        assert "d" in vars(node), line  # every node derives its seed length
+        assert hidden_values(node) == [], line

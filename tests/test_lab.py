@@ -30,10 +30,12 @@ from swprg.generators import (
     base_exhaustive,
     base_nisan,
     interleave,
+    inw_stretch,
     rect_compose,
     with_measured_error,
 )
 from swprg.hsg import hsg_exhaustive
+from swprg.primitives import perfect_extractor
 from swprg.lab import (
     MaskFamily,
     batch_evaluate,
@@ -326,6 +328,27 @@ def test_reports_refuse_interleave_outside_its_window_class():
     assert str(hitting.value) == str(fooling.value)
     # the per-program oracle stays class-agnostic; g emits every 4-bit string once
     assert [fooling_error(g, fam.program(m)) for m in range(len(fam))] == [0] * len(fam)
+
+
+def test_reports_refuse_a_nested_interleave_outside_its_window_class():
+    # a node built on an interleave keeps its 2*max rule, and so its window
+    top = interleave(base_exhaustive(2), base_exhaustive(2))
+    nested = inw_stretch(top, perfect_extractor(4))
+    assert (top.window, nested.window) == (2, 2)
+    with pytest.raises(ConfigurationError, match="block_bits=2") as refused:
+        run_fooling_report(top, swbp_family(4, 3), top.eps_budget)
+    for t in (3, 4):
+        fam = swbp_family(8, t, 16)
+        with pytest.raises(ConfigurationError) as fooling:
+            run_fooling_report(nested, fam, nested.eps_budget)
+        with pytest.raises(ConfigurationError) as hitting:
+            run_hitting_report(nested, fam)
+        assert str(fooling.value) == str(hitting.value) == str(refused.value)
+    fam = swbp_family(8, 2, 16)
+    assert run_fooling_report(nested, fam, nested.eps_budget).passed
+    assert run_hitting_report(nested, fam).passed
+    # a rectangle feeds base seeds, not program input: no window passes up
+    assert rect_compose(base_exhaustive(4), ExhaustiveRectangle(2, 4)).window is None
 
 
 def test_fooling_report_expands_once_on_many_threads():
