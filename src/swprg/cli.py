@@ -168,7 +168,7 @@ def cmd_paca(config: dict, out_dir: Path, args) -> int:
         _write(out_dir, "paca.json", {"mode": "exact", "probability": str(prob)}, config)
         return EXIT_PASS
     eps = Fraction(config.get("eps", "1/4"))
-    # no builder: every coin matrix once, read off the configuration chain
+    # no builder: every coin matrix once, counted by the window sweep DP
     if mode == "derand1":
         decision = paca.derandomize_one_sided(c, x, eps, None)
         _write(out_dir, "paca.json", {"mode": "derand1", "accept": decision}, config)

@@ -92,8 +92,8 @@ class GeneratorSpec:
     def expand_int(self, seed: int) -> int:
         import numpy as np
 
-        if not 0 <= seed < 1 << self.d:
-            raise ShapeError(f"seed {seed} is outside 0..2**{self.d} - 1")
+        if type(seed) is not int or not 0 <= seed < 1 << self.d:
+            raise ShapeError(f"seed {seed!r} is outside the ints 0..2**{self.d} - 1")
         self._check_packs()
         return int(self.expand_seeds(np.array([seed], dtype=np.uint64))[0])
 

@@ -116,8 +116,8 @@ class Paca:
 
     @cached_property
     def _rejecting(self) -> List[bool]:
-        """Indexed by state: is it outside the accepting set?"""
-        return [s not in self.accepting for s in range(self.q)]
+        """Indexed by state, $ included: is it outside the accepting set?"""
+        return [s not in self.accepting for s in range(self.q)] + [False]
 
     @property
     def boundary(self) -> int:
@@ -142,23 +142,6 @@ def step(c: Paca, config: Configuration, row: Sequence[int]) -> Configuration:
     return tuple(
         c.delta(row[i], padded[i], padded[i + 1], padded[i + 2]) for i in range(n)
     )
-
-
-def successors(c: Paca, config: Configuration) -> Dict[Configuration, int]:
-    """Every configuration one step after ``config``, with the number of the
-    2**n coin rows leading to it, built cell by cell (cells toss independent
-    coins): each cell has two outcomes, merged when they are equal."""
-    padded = (c.boundary, *config, c.boundary)
-    prefixes: Dict[Configuration, int] = {(): 1}
-    for i in range(len(config)):
-        cell = [c.delta(bit, *padded[i : i + 3]) for bit in (0, 1)]
-        outcomes = {s: cell.count(s) for s in cell}
-        prefixes = {
-            prefix + (s,): count * mult
-            for prefix, count in prefixes.items()
-            for s, mult in outcomes.items()
-        }
-    return prefixes
 
 
 def _check_input(c: Paca, x: Sequence[int]) -> Tuple[int, ...]:
@@ -200,7 +183,7 @@ def accepts(c: Paca, x: Sequence[int], matrix: Sequence[Sequence[int]]) -> Accep
 def exact_accept_probability(c: Paca, x: Sequence[int]) -> Fraction:
     """Pr over uniform coin matrices that C accepts x: 1 if step 0 accepts,
     otherwise the share of coin matrices whose step mask over steps 1..T-1
-    (:func:`_step_vector_distribution`) is non-empty."""
+    is non-empty, as the window sweep counts them (:func:`_step_vector_distribution`)."""
     x = _check_input(c, x)
     if c.config_accepting(x):
         return Fraction(1)
@@ -436,8 +419,8 @@ def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], 
 
     ``g`` emits the (n+T)*T-bit coin stream.  ``None`` or an exhaustive
     generator stands for every stream once, so the outcomes are the coin
-    matrices of the configuration chain that
-    :func:`exact_accept_probability` reads too, in the same proportions;
+    matrices that the window sweep counts for :func:`exact_accept_probability`
+    too (:func:`_step_vector_distribution`), in the same proportions;
     for any other generator they are its seeds: each distinct stream is
     swept once and weighted by how many seeds emit it.  The streams and
     their weights are read as Python ints a chunk at a time
@@ -464,22 +447,36 @@ def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], 
 
 
 def _step_vector_distribution(c: Paca, x: Tuple[int, ...]) -> Tuple[Dict[int, int], int]:
-    """Joint distribution of the acceptance indicators of steps 1..T-1 (as
-    bit masks), via the configuration Markov chain: how many coin matrices
-    of T-1 rows give each mask, and the log2 of their total.  Each step
-    walks :func:`successors`."""
+    """How many coin matrices of T-1 rows give each mask of all-accepting
+    steps 1..T-1, and the log2 of their total: the window sweep of
+    :func:`sliding_sim` over those rows, as a DP whose entries are the sweep
+    state (left[T-1], center[T-1], right) and the mask of steps that met a
+    rejecting cell.  Only in-bounds cells toss coins, so each of the
+    (T-1)*n coins is counted once, and no layer has more than
+    (q+1)**(2T-1) * 2**(T-1) entries, whatever n."""
     n, T = len(x), c.time_bound
-    counts: Dict[Tuple[Configuration, int], int] = {(x, 0): 1}
-    for s in range(1, T):
-        nxt: Dict[Tuple[Configuration, int], int] = {}
-        for (config, v), count in counts.items():
-            for nc, mult in successors(c, config).items():
-                key = (nc, v | (1 << s) if c.config_accepting(nc) else v)
-                nxt[key] = nxt.get(key, 0) + count * mult
-        counts = nxt
+    b = c.boundary
+    rules, rejecting = (c.delta0, c.delta1), c._rejecting
+    border = (b,) * (T - 1)
+    layer: Dict[tuple, int] = {(border, border, b, 0): 1}
+    for j in range(n + T - 1):
+        for tau in range(T - 1):
+            nxt: Dict[tuple, int] = {}
+            for (left, center, right, failed), count in layer.items():
+                if tau == 0:
+                    right = x[j] if j < n else b
+                lt, mid = left[tau], center[tau]
+                left = left[:tau] + (mid,) + left[tau + 1 :]
+                center = center[:tau] + (right,) + center[tau + 1 :]
+                # an out-of-bounds cell stays at $ and tosses no coin
+                for new in (b,) if mid == b else (rule[lt][mid][right] for rule in rules):
+                    key = (left, center, new, failed | (2 << tau) if rejecting[new] else failed)
+                    nxt[key] = nxt.get(key, 0) + count
+            layer = nxt
+    steps = (1 << T) - 2
     out: Dict[int, int] = {}
-    for (_, v), count in counts.items():
-        out[v] = out.get(v, 0) + count
+    for (_, _, _, failed), count in layer.items():
+        out[steps & ~failed] = out.get(steps & ~failed, 0) + count
     return out, (T - 1) * n
 
 
@@ -615,11 +612,11 @@ def sample_paca(rng: random.Random, q: int, time_bound: int) -> Paca:
 def check_time_bound(c: Paca, n: int) -> bool:
     """Does every accepting computation at length n first reach an
     all-accepting configuration strictly before step T?  Follows for T steps
-    the configurations reachable without an accepting visit; the bound fails
-    iff an accepting configuration is reachable from the step-T frontier
-    through non-accepting configurations."""
+    the configurations reachable without an accepting visit, by every coin
+    row; the bound fails iff an accepting configuration is reachable from
+    the step-T frontier through non-accepting configurations."""
     def reach(configs) -> set:
-        return {nc for cf in configs for nc in successors(c, cf)}
+        return {step(c, cf, row) for cf in configs for row in product((0, 1), repeat=n)}
 
     for x in product(c.sigma, repeat=n):
         frontier = {x}

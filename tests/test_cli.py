@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 import swprg
 from swprg import bp, cli, generators, hsg
 from swprg.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
-from swprg.paca import Paca, build_c1, paca_to_json
+from swprg.paca import Paca, build_c1, paca_to_json, sample_paca
 from swprg.primitives import cayley_extractor, perfect_extractor
 
 
@@ -395,6 +396,34 @@ def test_paca_derand1_rejects_probability_zero(tmp_path):
     assert json.loads((out / "paca.json").read_text())["accept"] is False
 
 
+def n64_paca_modes(tmp_path):
+    """exact, derand1 and derand2 on a random q = 3, T = 4 PACA over a
+    64-symbol input, where no chain over whole configurations finishes."""
+    c = sample_paca(random.Random(7), 3, 4)
+    paca_path = tmp_path / "q3t4.json"
+    paca_path.write_text(json.dumps(paca_to_json(c)))
+    rng = random.Random(1)
+    x = [rng.choice(c.sigma) for _ in range(64)]
+    return [
+        ("paca", {"mode": mode, "paca": str(paca_path), "input": x})
+        for mode in ("exact", "derand1", "derand2")
+    ]
+
+
+def test_paca_modes_at_n64(tmp_path):
+    codes, payloads = [], []
+    for i, (command, config) in enumerate(n64_paca_modes(tmp_path)):
+        out = tmp_path / f"out{i}"
+        codes.append(main([command, "--config", write_config(tmp_path, config),
+                           "--out", str(out)]))
+        payloads.append(json.loads((out / "paca.json").read_text()))
+    exact, derand1, derand2 = payloads
+    prob = Fraction(exact["probability"])
+    assert 0 < prob < Fraction(1, 2) and Fraction(derand2["eta"]) == prob
+    assert (derand1["accept"], derand2["accept"]) == (True, False)
+    assert codes == [EXIT_PASS, EXIT_PASS, EXIT_FAIL]
+
+
 @pytest.mark.parametrize("field, value", [("delta0", 1.5), ("boundary", 7)])
 def test_paca_malformed_file_exit_code(tmp_path, field, value):
     spec = paca_to_json(build_c1())
@@ -476,11 +505,13 @@ def test_seedless_commands_start_without_numpy(tmp_path):
 
 def test_commands_load_only_the_modules_they_use(tmp_path):
     # the four paca modes need no generator, HSG or program module, nor
-    # dataclasses
-    codes, _, after = probe_startup(tmp_path, c1_paca_modes())
-    assert codes == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_FAIL]
+    # dataclasses or numpy, at n = 64 too
+    codes, _, after = probe_startup(tmp_path, c1_paca_modes() + n64_paca_modes(tmp_path))
+    assert codes == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_FAIL, EXIT_PASS, EXIT_PASS, EXIT_FAIL]
     assert "swprg.paca" in after
-    assert not {"swprg.generators", "swprg.hsg", "swprg.bp", "dataclasses"} & set(after)
+    assert not {
+        "swprg.generators", "swprg.hsg", "swprg.bp", "dataclasses", "numpy"
+    } & set(after)
     # and verify-fool needs no PACA; its generators do load dataclasses
     codes, _, after = probe_startup(tmp_path, [tiny_verify_fool()])
     assert codes == [EXIT_PASS]

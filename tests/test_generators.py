@@ -536,7 +536,9 @@ def test_expand_int_refuses_seeds_outside_the_seed_space():
     assert set(first_of_kind) == {"exhaustive", *NODES}
     for node in first_of_kind.values():
         g = generator_from_json(node)
-        for seed in (-1, 1 << g.d):
+        # a seed that is not an int is refused too, a bool and a numpy int
+        # included, where the uint64 array would truncate or convert it
+        for seed in (-1, 1 << g.d, 1.5, 7.9, True, np.int64(0)):
             with pytest.raises(ShapeError, match="outside"):
                 g.expand_int(seed)
         for seed in (0, (1 << g.d) - 1):

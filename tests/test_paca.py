@@ -43,7 +43,6 @@ from swprg.paca import (
     spacetime_diagram,
     step,
     step_vector_counts,
-    successors,
 )
 
 
@@ -112,16 +111,43 @@ def test_c2_accepts_iff_some_pair_zero():
         assert accepts(c, x, matrix).accept == want
 
 
-def test_successors_count_every_coin_row():
-    # the cell-by-cell kernel against stepping every one of the 2**n rows
+def chain_step_vector_distribution(c, x):
+    """Reference for paca._step_vector_distribution: the Markov chain over
+    whole configurations, each step weighing every next configuration by
+    the number of the 2**n coin rows that lead to it; the counts of each
+    mask of all-accepting steps 1..T-1, and the (T-1)*n coins counted."""
+    n, T = len(x), c.time_bound
+    rows = list(product((0, 1), repeat=n))
+    counts = Counter({(tuple(x), 0): 1})
+    for s in range(1, T):
+        nxt = Counter()
+        for (config, v), count in counts.items():
+            successors = Counter(step(c, config, row) for row in rows)
+            for nc, mult in successors.items():
+                nxt[nc, v | (1 << s) if c.config_accepting(nc) else v] += count * mult
+        counts = nxt
+    out = Counter()
+    for (_, v), count in counts.items():
+        out[v] += count
+    return dict(out), (T - 1) * n
+
+
+def test_sweep_distribution_equals_the_configuration_chain():
     rng = random.Random(41)
-    for _ in range(30):
-        c = sample_paca(rng, rng.randint(2, 4), 2)
-        n = rng.randint(1, 6)
-        config = tuple(rng.randrange(c.q) for _ in range(n))
-        got = successors(c, config)
-        assert got == Counter(step(c, config, row) for row in product((0, 1), repeat=n))
-        assert sum(got.values()) == 1 << n
+    cases = [
+        (c, x) for c in (build_c1(), build_c2()) for n in (1, 2, 3)
+        for x in product(c.sigma, repeat=n)
+    ]
+    for _ in range(80):
+        c = sample_paca(rng, rng.randint(2, 3), rng.randint(1, 4))
+        cases.append((c, tuple(rng.choice(c.sigma) for _ in range(rng.randint(1, 5)))))
+    spread = 0
+    for c, x in cases:
+        got = paca._step_vector_distribution(c, x)
+        assert got == chain_step_vector_distribution(c, x), (paca_to_json(c), x)
+        assert sum(got[0].values()) == 1 << got[1]
+        spread += len(got[0]) > 1
+    assert spread > 20  # most cases split the coin matrices over several masks
 
 
 def test_exact_probability_fixtures():
@@ -433,7 +459,7 @@ def test_derandomize_two_sided_exhaustive_equals_exact():
         c = sample_paca(rng, 2, rng.randint(2, 3))
         x = tuple(rng.choice(c.sigma) for _ in range(2))
         result = derandomize_two_sided(c, x, Fraction(1, 8), builder)
-        # both read the configuration chain; matrix enumeration is independent
+        # both read the window sweep DP; matrix enumeration is independent
         assert result.eta == exact_accept_probability(c, x)
         assert result.eta == accept_probability_bruteforce(c, x)  # T*n <= 6 bits
 
@@ -454,6 +480,10 @@ def test_derandomizers_without_builder_match_exhaustive_ones():
     for _ in range(8):
         c = sample_paca(rng, rng.randint(2, 3), rng.randint(1, 3))
         cases.append((c, tuple(rng.choice(c.sigma) for _ in range(rng.randint(1, 2)))))
+    for q, T, n in ((2, 2, 4), (3, 2, 6), (2, 3, 2), (3, 3, 2)):  # 12 to 16 coin bits
+        c = sample_paca(rng, q, T)
+        cases.append((c, tuple(rng.choice(c.sigma) for _ in range(n))))
+    swept, masks = 0, set()
     for c, x in cases:
         assert derandomize_one_sided(c, x, Fraction(1, 4), None) == derandomize_one_sided(
             c, x, Fraction(1, 4), lambda m, thr: hsg_exhaustive(m)
@@ -461,6 +491,34 @@ def test_derandomizers_without_builder_match_exhaustive_ones():
         assert derandomize_two_sided(c, x, Fraction(1, 8), None) == derandomize_two_sided(
             c, x, Fraction(1, 8), lambda m, thr: base_exhaustive(m)
         )
+        # both take the sweep DP; the stream path over every coin stream
+        # must give its counts, each stream bit it does not read doubling them
+        n, T = len(x), c.time_bound
+        m = (n + T) * T
+        if m <= 16:
+            counts, bits = step_vector_counts(c, x, None)
+            per_stream = Counter(
+                accepting_steps_of_stream(c, x, r) & ((1 << T) - 2) for r in range(1 << m)
+            )
+            assert dict(per_stream) == {v: k << (m - bits) for v, k in counts.items()}
+            swept += 1
+            masks.update(counts)
+    assert swept == 12  # every sampled case; the fixtures' streams are too long
+    assert masks == {0, 0b10, 0b100, 0b110}
+
+
+def test_two_sided_terms_match_sliding_sim_at_n32():
+    # every eta_t, t a non-empty subset of steps 1..3, against the layer DP
+    # of the stream program S_t at n = 32, where no coin matrix enumeration
+    # and no configuration chain runs
+    for seed in (11, 46):
+        c = sample_paca(random.Random(seed), 3, 4)
+        rng = random.Random(1)
+        x = tuple(rng.choice(c.sigma) for _ in range(32))
+        result = derandomize_two_sided(c, x, Fraction(1, 8), None)
+        assert len(result.eta_terms) == 7 and sum(map(bool, result.eta_terms.values())) >= 3
+        for steps, term in result.eta_terms.items():
+            assert term == acceptance_probability(sliding_sim(c, x, steps)), (seed, steps)
 
 
 def two_sided_by_rescan(counts, bits, T):
