@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from .bits import BitString, bits_to_int, int_to_bits
@@ -72,9 +72,9 @@ class GeneratorSpec:
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         """Flat outputs, packed into uint64, of a uint64 array of seeds.
 
-        A node that loops over seeds in Python reads them through
-        :func:`iter_ints`, so it holds at most ``CHUNK`` per-seed Python
-        objects at once whatever the array's length.
+        A node that loops over seeds in Python converts them ``CHUNK`` at a
+        time (:func:`iter_ints`), so it holds at most ``CHUNK`` per-seed
+        Python objects at once whatever the array's length.
         """
         raise NotImplementedError
 
@@ -321,16 +321,14 @@ class PairwiseRectangle(GeneratorSpec):
         import numpy as np
 
         h_eval, b = self.hash_family.eval, self.block_bits
-        blocks = range(self.blocks - 1, -1, -1)
-
-        def flats():
-            for s in iter_ints(seeds):
-                flat = 0
-                for i in blocks:
-                    flat = flat << b | h_eval(s, i)
-                yield flat
-
-        return np.fromiter(flats(), dtype=np.uint64, count=len(seeds))
+        out = np.zeros(len(seeds), dtype=np.uint64)
+        for start in range(0, len(seeds), CHUNK):
+            chunk = seeds[start : start + CHUNK].tolist()
+            for i in range(self.blocks):
+                # map makes the per-seed eval calls from C, one block at a time
+                block = np.fromiter(map(h_eval, chunk, repeat(i)), np.uint64, count=len(chunk))
+                out[start : start + len(chunk)] |= block << np.uint64(i * b)
+        return out
 
 
 # --- combinators ------------------------------------------------------------------

@@ -119,6 +119,31 @@ class Paca:
         """Indexed by state, $ included: is it outside the accepting set?"""
         return [s not in self.accepting for s in range(self.q)] + [False]
 
+    @cached_property
+    def _row_step(self) -> Callable[[Configuration, int], Tuple[Configuration, bool]]:
+        """(configuration, coins) -> (next configuration, is it all-accepting?)
+        for one step of the in-bounds cells, cell k (counted from 1) reading
+        bit (k-1)*T of ``coins``; memoized for the last 4,096 pairs, the
+        ``generators.CHUNK`` streams a sweep holds at once."""
+        b, T = self.boundary, self.time_bound
+        rules, rejecting = (self.delta0, self.delta1), self._rejecting
+
+        @lru_cache(maxsize=1 << 12)
+        def row_step(cells: Configuration, coins: int) -> Tuple[Configuration, bool]:
+            config = [b, *cells, b]  # in-bounds cells never leave Q, so the $ ends stay
+            left = b  # cell k-1 before this step
+            accepting = True
+            for k in range(1, len(config) - 1):
+                center = config[k]
+                new = config[k] = rules[coins & 1][left][center][config[k + 1]]
+                coins >>= T
+                left = center
+                if rejecting[new]:
+                    accepting = False
+            return tuple(config[1:-1]), accepting
+
+        return row_step
+
     @property
     def boundary(self) -> int:
         return self.q
@@ -275,26 +300,18 @@ def accepting_steps_of_stream(c: Paca, x: Sequence[int], r: int) -> int:
     all-accepting, for the coins the stream ``r`` feeds the automaton: at
     step i+1, cell k (counted from 1) reads bit i + (i+k)*T of r, the coin
     that layer (i+k)*T + i of the window sweep of :func:`sliding_sim` uses.
-    Steps the n in-bounds cells T times (n*T rule lookups), so it equals
-    evaluating every S_{s} on r, in one pass."""
+    Makes T lookups of the memoized row step :attr:`Paca._row_step`, so it
+    equals evaluating every S_{s} on r, in one pass.  Refuses a stream that
+    is not an int in 0..2**m - 1, m = (n+T)*T, with ShapeError."""
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
-    b = c.boundary
-    rules, rejecting = (c.delta0, c.delta1), c._rejecting
-    config = [b, *x, b]  # in-bounds cells never leave Q, so the $ ends stay
-    cells = range(1, n + 1)
-    mask = 0
+    m = (n + T) * T
+    if type(r) is not int or not 0 <= r < 1 << m:
+        raise ShapeError(f"stream {r!r} is outside the ints 0..2**{m} - 1")
+    row_step, row = c._row_step, ((1 << n * T) - 1) // ((1 << T) - 1)
+    config, mask = x, 0
     for i in range(T):
-        coins = r >> (i + (i + 1) * T)
-        left = b  # cell k-1 before this step
-        accepting = True
-        for k in cells:
-            center = config[k]
-            new = config[k] = rules[coins & 1][left][center][config[k + 1]]
-            coins >>= T
-            left = center
-            if rejecting[new]:
-                accepting = False
+        config, accepting = row_step(config, r >> (i + (i + 1) * T) & row)
         if accepting:
             mask |= 2 << i
     return mask

@@ -1,13 +1,12 @@
 """Seedable building blocks: pairwise-independent hashes, small-bias sets,
-extractors, and exact distribution diagnostics."""
+and extractors."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .bits import parity
 from .errors import ConfigurationError, ParameterError, ShapeError
@@ -46,12 +45,12 @@ class HashFamily:
         if not 0 <= member_seed < seeds:
             raise ShapeError("hash member seed outside description length")
         z = member_seed & (x * rep)
-        y = member_seed >> ab
+        y = member_seed >> ab ^ table[z & mask]
         shift = 0
-        while z:
-            y ^= table[z & mask] << shift
+        while z > mask:  # row fields left beyond this read
             z >>= width
             shift += rows
+            y ^= table[z & mask] << shift
         return y
 
 
@@ -135,14 +134,6 @@ def measure_bias(n: int, members: Tuple[int, ...]) -> Fraction:
     # the largest |sum over members of (-1)**<alpha, g>| over nonzero tests alpha
     sums = (abs(sum(1 - 2 * parity(alpha & g) for g in members)) for alpha in range(1, 1 << n))
     return Fraction(max(sums, default=0), len(members))
-
-
-def full_group_set(n: int) -> SmallBiasSet:
-    return SmallBiasSet(n, tuple(range(1 << n)), Fraction(0))
-
-
-def singleton_zero_set(n: int) -> SmallBiasSet:
-    return SmallBiasSet(n, (0,), Fraction(1))
 
 
 def aghp_set(n: int, ell: int) -> SmallBiasSet:
@@ -279,59 +270,3 @@ def cayley_extractor(
             f"(> {max_seed_bits} seed bits)"
         )
     return cayley_extractor_from_set(n, deficiency, aghp_set(n, ell))
-
-
-# --- distribution diagnostics ---------------------------------------------------
-
-Distribution = Dict[object, Fraction]
-
-
-def statistical_distance(x: Distribution, y: Distribution, universe=None) -> Fraction:
-    """Half the l1 distance between two finite distributions."""
-    if universe is not None:
-        bad = (set(x) | set(y)) - set(universe)
-        if bad:
-            raise ShapeError(f"outcomes outside the declared universe: {sorted(bad)[:5]}")
-    keys = set(x) | set(y)
-    total = sum(abs(x.get(k, Fraction(0)) - y.get(k, Fraction(0))) for k in keys)
-    return total / 2
-
-
-def min_entropy(x: Distribution) -> float:
-    """log2 of 1 / max probability."""
-    top = max(p for p in x.values() if p > 0)
-    return float(-math.log2(top))
-
-
-def uniform_distribution(n: int) -> Distribution:
-    p = Fraction(1, 1 << n)
-    return {v: p for v in range(1 << n)}
-
-
-def flat_source(points) -> Distribution:
-    points = list(points)
-    p = Fraction(1, len(points))
-    return {v: p for v in points}
-
-
-def extractor_output_distribution(ext: Extractor, source: Distribution) -> Distribution:
-    """Exact output distribution of Ext(X, U_d).
-
-    For each distinct source probability, the (x, seed) pairs reaching each
-    output are counted as integers; each output's probability is one
-    ``Fraction`` over the common denominator, made at return.
-    """
-    hists: Dict[Fraction, Dict[object, int]] = {}
-    for x, px in source.items():
-        hist = hists.setdefault(Fraction(px), {})
-        for s in range(1 << ext.d):
-            y = ext.apply(x, s)
-            hist[y] = hist.get(y, 0) + 1
-    denom = math.lcm(*(p.denominator for p in hists))
-    weights: Dict[object, int] = {}
-    for p, hist in hists.items():
-        scale = p.numerator * (denom // p.denominator)
-        for y, count in hist.items():
-            weights[y] = weights.get(y, 0) + scale * count
-    return {y: Fraction(wt, denom << ext.d) for y, wt in weights.items()}
-

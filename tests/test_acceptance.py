@@ -20,7 +20,6 @@ from swprg.bp import (
     acceptance_probability,
     build_certificate,
     canonical_debruijn_swbp,
-    certificate_is_valid,
     check_window,
     concat,
 )
@@ -55,6 +54,7 @@ from swprg.paca import (
     step,
 )
 from swprg.primitives import perfect_extractor
+from test_bp import certificate_is_valid
 from test_lab import acceptance_probability_bruteforce
 
 

@@ -13,7 +13,6 @@ from swprg.bp import (
     acceptance_probability,
     build_certificate,
     canonical_debruijn_swbp,
-    certificate_is_valid,
     check_window,
     concat,
     evaluate,
@@ -25,6 +24,31 @@ from swprg.bp import (
     relabel,
 )
 from swprg.errors import ParameterError, ShapeError
+
+
+def certificate_is_valid(p: LayeredProgram, cert: WindowCertificate) -> bool:
+    """Check both certificate clauses by table lookup."""
+    t = cert.t
+    if len(cert.alphas) != p.n + 1 or cert.alphas[0][0] != p.q0:
+        return False
+    for i in range(p.n):
+        k = min(i, t)
+        cur = cert.alphas[i]
+        nxt = cert.alphas[i + 1]
+        if i < t:
+            for wv in range(1 << k):
+                for y in (0, 1):
+                    if p.trans[i][cur[wv]][y] != nxt[(wv << 1) | y]:
+                        return False
+        else:
+            for xv in range(2):
+                for wv in range(1 << (t - 1)):
+                    for y in (0, 1):
+                        src = (xv << (t - 1)) | wv
+                        tgt = ((wv << 1) | y) & ((1 << t) - 1)
+                        if p.trans[i][cur[src]][y] != nxt[tgt]:
+                            return False
+    return True
 
 
 def and_program():

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from swprg.generators import (
     with_measured_error,
 )
 from swprg.hsg import hsg_from_json
-from swprg.primitives import cayley_extractor, perfect_extractor
+from swprg.primitives import HashFamily, cayley_extractor, perfect_extractor
 
 
 # --- pure-Python reference expander ------------------------------------------
@@ -352,6 +353,25 @@ def test_expand_seeds_across_chunk_boundaries():
             got = g.expand_seeds(seeds)
             assert got.dtype == np.uint64 and len(got) == length
             assert got.tolist() == [expand_by_eval(g, s) for s in seeds.tolist()], (g, length)
+
+
+def test_pairwise_rectangle_evaluates_each_seed_and_block_once(monkeypatch):
+    # the rectangle evaluates one block of a CHUNK of seeds at a time; past a
+    # chunk boundary, at a length that is no multiple of CHUNK, it still
+    # makes one hash evaluation per (seed, block) and gives ref_expand's outputs
+    g = PairwiseRectangle(5, 3)
+    seeds = np.random.default_rng(73).integers(0, 1 << g.d, size=2 * CHUNK + 77, dtype=np.uint64)
+    evaluate, blocks_read = HashFamily.eval, []
+
+    def counted(fam, member_seed, x):
+        blocks_read.append(x)
+        return evaluate(fam, member_seed, x)
+
+    monkeypatch.setattr(HashFamily, "eval", counted)
+    got = g.expand_seeds(seeds)
+    assert len(blocks_read) == g.blocks * len(seeds)
+    assert Counter(blocks_read) == {i: len(seeds) for i in range(g.blocks)}
+    assert got.tolist() == [ref_expand(g.to_json(), s) for s in seeds.tolist()]
 
 
 def _count_pairs(values, counts):

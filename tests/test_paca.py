@@ -311,6 +311,57 @@ def test_accepting_steps_of_stream_matches_stepping():
                 accepting_steps_of_stream(c, (), 0)
 
 
+def test_accepting_steps_of_stream_refuses_malformed_streams():
+    # C1 at n = 1 reads m = 110-bit streams; a stream off by 2**m, negative,
+    # a bool or not an int was once read as the in-range int it resembles
+    c, x = build_c1(), (0,)
+    m = (len(x) + c.time_bound) * c.time_bound
+    assert [accepting_steps_of_stream(c, x, r) for r in (0, 1, 1536)] == [1536, 1536, 0]
+    for r in ((1 << m) + 1536, 1536 - (1 << m), -1, 1 << m, True, False, 0.0, np.uint64(0)):
+        with pytest.raises(ShapeError, match="stream"):
+            accepting_steps_of_stream(c, x, r)
+
+
+def test_row_step_memo_stays_bounded_and_exact_past_eviction():
+    # q = 3, T = 2, n = 6 over every 16-bit stream of four inputs: more
+    # distinct (configuration, coin row) pairs than the memo's 4,096 entries,
+    # so it evicts; every mask still equals stepping by paca.step
+    rng = random.Random(71)
+    c = sample_paca(rng, 3, 2)
+    n, T = 6, c.time_bound
+    rows = list(product((0, 1), repeat=n))
+    streams = np.arange(1 << ((n + T) * T))
+    # the index in rows of the coin row stream r feeds step i+1: cell k reads
+    # bit i + (i+k)*T, and rows[idx] has cell k's coin at bit n-k of idx
+    row_of = [
+        sum(((streams >> (i + (i + k) * T)) & 1) << (n - k) for k in range(1, n + 1))
+        for i in range(T)
+    ]
+    pairs = set()
+    for _ in range(4):
+        x = tuple(rng.choice(c.sigma) for _ in range(n))
+        want = np.zeros((len(rows), len(rows)), dtype=np.int64)
+        for a, row1 in enumerate(rows):
+            config1 = step(c, x, row1)
+            pairs.add((x, row1))
+            for b, row2 in enumerate(rows):
+                config2 = step(c, config1, row2)
+                pairs.add((config1, row2))
+                want[a, b] = 2 * c.config_accepting(config1) | 4 * c.config_accepting(config2)
+        got = [accepting_steps_of_stream(c, x, r) for r in range(len(streams))]
+        assert got == want[row_of[0], row_of[1]].tolist(), x
+        assert c._row_step.cache_info().currsize <= 1 << 12
+    assert len(pairs) > 1 << 12
+
+
+def test_row_step_memo_is_built_on_first_sweep_only():
+    for build in (build_c1, build_c2):
+        c = build.__wrapped__()
+        assert "_row_step" not in vars(c)
+        accepting_steps_of_stream(c, (0,), 0)
+        assert c._row_step.cache_info().currsize == c.time_bound
+
+
 def window_sweep_steps(c, x, r):
     """Reference: the window sweep of sliding_sim run directly on the stream
     r (bit L of r is the coin of sweep layer L = j*T + tau), one layer

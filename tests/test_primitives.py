@@ -1,5 +1,7 @@
 import itertools
+import math
 from fractions import Fraction
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -9,22 +11,79 @@ from swprg.errors import ConfigurationError, ShapeError
 from swprg.primitives import (
     Extractor,
     HashFamily,
+    SmallBiasSet,
     _IRREDUCIBLE,
     _gf_mul,
     aghp_set,
     cayley_extractor,
     cayley_extractor_from_set,
     extractor_from_json,
-    extractor_output_distribution,
-    flat_source,
-    full_group_set,
     measure_bias,
-    min_entropy,
     perfect_extractor,
-    singleton_zero_set,
-    statistical_distance,
-    uniform_distribution,
 )
+
+
+def full_group_set(n: int) -> SmallBiasSet:
+    return SmallBiasSet(n, tuple(range(1 << n)), Fraction(0))
+
+
+def singleton_zero_set(n: int) -> SmallBiasSet:
+    return SmallBiasSet(n, (0,), Fraction(1))
+
+
+# --- distribution diagnostics ---------------------------------------------------
+
+Distribution = Dict[object, Fraction]
+
+
+def statistical_distance(x: Distribution, y: Distribution, universe=None) -> Fraction:
+    """Half the l1 distance between two finite distributions."""
+    if universe is not None:
+        bad = (set(x) | set(y)) - set(universe)
+        if bad:
+            raise ShapeError(f"outcomes outside the declared universe: {sorted(bad)[:5]}")
+    keys = set(x) | set(y)
+    total = sum(abs(x.get(k, Fraction(0)) - y.get(k, Fraction(0))) for k in keys)
+    return total / 2
+
+
+def min_entropy(x: Distribution) -> float:
+    """log2 of 1 / max probability."""
+    top = max(p for p in x.values() if p > 0)
+    return float(-math.log2(top))
+
+
+def uniform_distribution(n: int) -> Distribution:
+    p = Fraction(1, 1 << n)
+    return {v: p for v in range(1 << n)}
+
+
+def flat_source(points) -> Distribution:
+    points = list(points)
+    p = Fraction(1, len(points))
+    return {v: p for v in points}
+
+
+def extractor_output_distribution(ext: Extractor, source: Distribution) -> Distribution:
+    """Exact output distribution of Ext(X, U_d).
+
+    For each distinct source probability, the (x, seed) pairs reaching each
+    output are counted as integers; each output's probability is one
+    ``Fraction`` over the common denominator, made at return.
+    """
+    hists: Dict[Fraction, Dict[object, int]] = {}
+    for x, px in source.items():
+        hist = hists.setdefault(Fraction(px), {})
+        for s in range(1 << ext.d):
+            y = ext.apply(x, s)
+            hist[y] = hist.get(y, 0) + 1
+    denom = math.lcm(*(p.denominator for p in hists))
+    weights: Dict[object, int] = {}
+    for p, hist in hists.items():
+        scale = p.numerator * (denom // p.denominator)
+        for y, count in hist.items():
+            weights[y] = weights.get(y, 0) + scale * count
+    return {y: Fraction(wt, denom << ext.d) for y, wt in weights.items()}
 
 
 def test_hash_family_exactly_pairwise_independent():
