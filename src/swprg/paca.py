@@ -15,7 +15,7 @@ import json
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from typing import (
     TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
@@ -76,6 +76,11 @@ def _freeze_tables(q: int, **tables) -> Dict[str, Table]:
     return out
 
 
+def _states_of(symbols, q: int) -> bool:
+    """Is every one of ``symbols`` an int (a bool is not) in 0..q-1?"""
+    return all(type(s) is int and 0 <= s < q for s in symbols)
+
+
 class Paca:
     """q states 0..q-1, boundary index q; delta tables are nested tuples of
     ints indexed [left][center][right], of shape (q+1, q, q+1), with equal
@@ -92,15 +97,16 @@ class Paca:
 
     def __init__(self, q: int, sigma: Tuple[int, ...], accepting: FrozenSet[int],
                  delta0, delta1, time_bound: int):
+        for name, value in (("states", q), ("time bound", time_bound)):
+            if type(value) is not int or value < 1:
+                raise ParameterError(f"{name} must be an int >= 1: {value!r}")
         tables = _freeze_tables(q, delta0=delta0, delta1=delta1)
-        if not set(sigma) <= set(range(q)):
-            raise ParameterError("input alphabet must be a subset of the states")
-        if not accepting <= frozenset(range(q)):
+        if not sigma or not _states_of(sigma, q):
+            raise ParameterError("input alphabet must be a non-empty subset of the states")
+        if not _states_of(accepting, q):
             raise ParameterError("accepting set must be a subset of the states")
-        if time_bound < 1:
-            raise ParameterError("time bound must be positive")
         # written past __setattr__, as the cached properties below are
-        vars(self).update(q=q, sigma=sigma, accepting=accepting,
+        vars(self).update(q=q, sigma=tuple(sigma), accepting=frozenset(accepting),
                           time_bound=time_bound, **tables)
 
     def __setattr__(self, name, value):
@@ -144,6 +150,42 @@ class Paca:
 
         return row_step
 
+    @cached_property
+    def _sweeper(self) -> Callable[[Configuration], Tuple[int, int, Callable[[int], int]]]:
+        """checked input -> (2**m, the mask of the stream bits its in-bounds
+        cells read, read coins -> step mask), m = (n+T)*T, for the last 16
+        inputs.  Each input's step masks are memoized for the last 4,096
+        read patterns, a miss making T lookups of :attr:`_row_step`."""
+        T, row_step = self.time_bound, self._row_step
+
+        @lru_cache(maxsize=16)
+        def sweeper(x: Configuration) -> Tuple[int, int, Callable[[int], int]]:
+            n = len(x)
+            row = ((1 << n * T) - 1) // ((1 << T) - 1)  # bit (k-1)*T for cells k = 1..n
+            # bit i + (i+k)*T, for steps i+1 = 1..T and cells k = 1..n
+            read = (row * ((1 << (T + 1) * T) - 1) // ((1 << T + 1) - 1)) << T
+
+            @lru_cache(maxsize=1 << 12)
+            def steps(coins: int) -> int:
+                config, mask = x, 0
+                for i in range(T):
+                    config, accepting = row_step(config, coins >> (i + (i + 1) * T) & row)
+                    if accepting:
+                        mask |= 2 << i
+                return mask
+
+            return 1 << (n + T) * T, read, steps
+
+        return sweeper
+
+    @cached_property
+    def _recent_sweep(self) -> list:
+        """One slot: the input tuple of the latest call of
+        :func:`accepting_steps_of_stream`, checked, with its :attr:`_sweeper`
+        entry, swapped whole so threads sharing the Paca read one entry; it
+        starts with an input no caller can pass."""
+        return [(object(), 0, 0, None)]
+
     @property
     def boundary(self) -> int:
         return self.q
@@ -170,10 +212,12 @@ def step(c: Paca, config: Configuration, row: Sequence[int]) -> Configuration:
 
 
 def _check_input(c: Paca, x: Sequence[int]) -> Tuple[int, ...]:
+    """``x`` as a tuple; refuses it with ParameterError if it is empty or
+    has a symbol that is not an int (a bool is not) of the alphabet."""
     x = tuple(x)
     if not x:
         raise ParameterError("empty input")
-    if not c._alphabet.issuperset(x):
+    if not all(type(s) is int for s in x) or not c._alphabet.issuperset(x):
         raise ParameterError("input symbol outside the alphabet")
     return x
 
@@ -300,21 +344,21 @@ def accepting_steps_of_stream(c: Paca, x: Sequence[int], r: int) -> int:
     all-accepting, for the coins the stream ``r`` feeds the automaton: at
     step i+1, cell k (counted from 1) reads bit i + (i+k)*T of r, the coin
     that layer (i+k)*T + i of the window sweep of :func:`sliding_sim` uses.
-    Makes T lookups of the memoized row step :attr:`Paca._row_step`, so it
-    equals evaluating every S_{s} on r, in one pass.  Refuses a stream that
-    is not an int in 0..2**m - 1, m = (n+T)*T, with ShapeError."""
-    x = _check_input(c, x)
-    n, T = len(x), c.time_bound
-    m = (n + T) * T
-    if type(r) is not int or not 0 <= r < 1 << m:
+    No other bit is read, so it equals evaluating every S_{s} on r, in one
+    pass, and is one lookup of the read bits of r in the input's memo
+    (:attr:`Paca._sweeper`).  The input is checked unless it is the very
+    tuple of the latest call, checked then: a tuple cannot change, nor can
+    the Paca.  Refuses a stream that is not an int in 0..2**m - 1,
+    m = (n+T)*T, with ShapeError."""
+    checked, end, read, steps = c._recent_sweep[0]
+    if checked is not x:
+        checked = _check_input(c, x)
+        end, read, steps = c._sweeper(checked)
+        c._recent_sweep[0] = checked, end, read, steps
+    if type(r) is not int or not 0 <= r < end:
+        m = (len(checked) + c.time_bound) * c.time_bound
         raise ShapeError(f"stream {r!r} is outside the ints 0..2**{m} - 1")
-    row_step, row = c._row_step, ((1 << n * T) - 1) // ((1 << T) - 1)
-    config, mask = x, 0
-    for i in range(T):
-        config, accepting = row_step(config, r >> (i + (i + 1) * T) & row)
-        if accepting:
-            mask |= 2 << i
-    return mask
+    return steps(r & read)
 
 
 # --- derandomizers --------------------------------------------------------------------
@@ -457,8 +501,10 @@ def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], 
     steps_mask = (1 << T) - 2
     counts: Dict[int, int] = {}
     streams, mult = g.output_counts()
-    for r, k in zip(iter_ints(streams), iter_ints(mult)):
-        v = accepting_steps_of_stream(c, x, r) & steps_mask
+    # map makes the per-stream calls from C
+    masks = map(partial(accepting_steps_of_stream, c, x), iter_ints(streams))
+    for v, k in zip(masks, iter_ints(mult)):
+        v &= steps_mask
         counts[v] = counts.get(v, 0) + k
     return counts, g.d
 

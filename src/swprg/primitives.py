@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .bits import parity
@@ -27,44 +27,54 @@ class HashFamily:
     a: int
     b: int
 
+    def __post_init__(self):
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ParameterError(f"hash family {name} must be an int >= 1: {value!r}")
+        # the kernel of eval, as plain instance values: set one at a time, the
+        # instance keeps the compact attribute layout that makes each read cheap
+        for name, value in zip(_KERNEL, _hash_kernel(self.a, self.b)):
+            object.__setattr__(self, name, value)
+
     @property
     def seed_bits(self) -> int:
         return self.a * self.b + self.b
 
-    @cached_property
-    def _kernel(self) -> Tuple[int, int, int, int, List[int], int, int, int]:
-        return _hash_kernel(self.a, self.b)
-
     def eval(self, member_seed: int, x: int) -> int:
         # one call per seed and block on the generator path: row field i of
         # z is row i of A masked by x, and the table reads the parities of
-        # a chunk of rows at once
-        domain, seeds, ab, rep, table, rows, width, mask = self._kernel
-        if not 0 <= x < domain:
-            raise ShapeError(f"hash input {x} outside domain [0, {domain})")
-        if not 0 <= member_seed < seeds:
+        # a chunk of rows at once; a shift that leaves bits refuses a value
+        # out of range, a negative one included
+        if x >> self.a:
+            raise ShapeError(f"hash input {x} outside domain [0, {1 << self.a})")
+        if member_seed >> self._seed_bits:
             raise ShapeError("hash member seed outside description length")
-        z = member_seed & (x * rep)
-        y = member_seed >> ab ^ table[z & mask]
+        z = member_seed & (x * self._rep)
+        mask = self._mask
+        y = member_seed >> self._ab ^ self._table[z & mask]
         shift = 0
         while z > mask:  # row fields left beyond this read
-            z >>= width
-            shift += rows
-            y ^= table[z & mask] << shift
+            z >>= self._width
+            shift += self._rows
+            y ^= self._table[z & mask] << shift
         return y
 
 
+# the names of the values of _hash_kernel, as HashFamily holds them
+_KERNEL = ("_seed_bits", "_ab", "_rep", "_table", "_rows", "_width", "_mask")
+
+
 @lru_cache(maxsize=None)
-def _hash_kernel(a: int, b: int) -> Tuple[int, int, int, int, List[int], int, int, int]:
+def _hash_kernel(a: int, b: int) -> Tuple[int, int, int, List[int], int, int, int]:
     """What :meth:`HashFamily.eval` needs for shape (a, b), built once and
-    shared by every family of that shape: the input and seed bounds 2**a and
-    2**(a*b + b); a*b, where the offset starts; the multiplier that repeats
-    an input into each of the b row fields; a table whose entry z has as
-    bit i the parity of the i-th a-bit field of z, for the
-    k = max(1, min(b, 12 // a)) fields of one table read; and k, the k*a
-    bits of one read and their mask.  The table has 2**(k*a) entries, 2**a
-    once a > 12; the generators keep a <= 7, as their seeds pack into 64
-    bits."""
+    shared by every family of that shape: a*b + b, the seed length; a*b,
+    where the offset starts; the multiplier that repeats an input into each
+    of the b row fields; a table whose entry z has as bit i the parity of
+    the i-th a-bit field of z, for the k = max(1, min(b, 12 // a)) fields of
+    one table read; and k, the k*a bits of one read and their mask.  The
+    table has 2**(k*a) entries, 2**a once a > 12; the generators keep
+    a <= 7, as their seeds pack into 64 bits."""
     rows = max(1, min(b, 12 // a))
     row_mask = (1 << a) - 1
     table = [0] * (1 << (rows * a))
@@ -74,7 +84,7 @@ def _hash_kernel(a: int, b: int) -> Tuple[int, int, int, int, List[int], int, in
     for i in range(b):
         rep |= 1 << (i * a)
     width = rows * a
-    return 1 << a, 1 << (a * b + b), a * b, rep, table, rows, width, (1 << width) - 1
+    return a * b + b, a * b, rep, table, rows, width, (1 << width) - 1
 
 
 # --- small-bias sets ----------------------------------------------------------

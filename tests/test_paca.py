@@ -287,9 +287,20 @@ def test_accepting_steps_of_stream_matches_subset_programs():
             assert evaluate_int(S, r) == want
 
 
+def steps_by_stepping(c, x, r):
+    """Reference: the step mask of stream r by paca.step.  Stream bit
+    i + (i+j+1)*T is the coin of cell j at step i+1; bit s of the mask
+    (s = 1..T) says whether the step-s configuration accepts."""
+    n, T = len(x), c.time_bound
+    config, mask = x, 0
+    for i in range(T):
+        config = step(c, config, [(r >> (i + (i + j + 1) * T)) & 1 for j in range(n)])
+        if c.config_accepting(config):
+            mask |= 1 << (i + 1)
+    return mask
+
+
 def test_accepting_steps_of_stream_matches_stepping():
-    # stream bit i + (i+j+1)*T is the coin of cell j at step i+1; bit s of
-    # the mask (s = 1..T) says whether the step-s configuration accepts
     rng = random.Random(47)
     for q, T, n in product((2, 3), range(1, 5), range(1, 4)):
         m = (n + T) * T
@@ -298,13 +309,9 @@ def test_accepting_steps_of_stream_matches_stepping():
             x = tuple(rng.choice(c.sigma) for _ in range(n))
             streams = [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(20)]
             for r in streams:
-                config, want = x, 0
-                for i in range(T):
-                    row = [(r >> (i + (i + j + 1) * T)) & 1 for j in range(n)]
-                    config = step(c, config, row)
-                    if c.config_accepting(config):
-                        want |= 1 << (i + 1)
-                assert accepting_steps_of_stream(c, x, r) == want, (q, T, x, r)
+                assert accepting_steps_of_stream(c, x, r) == steps_by_stepping(c, x, r), (
+                    q, T, x, r,
+                )
             with pytest.raises(ParameterError):
                 accepting_steps_of_stream(c, x[:-1] + (q,), 0)
             with pytest.raises(ParameterError):
@@ -360,6 +367,68 @@ def test_row_step_memo_is_built_on_first_sweep_only():
         assert "_row_step" not in vars(c)
         accepting_steps_of_stream(c, (0,), 0)
         assert c._row_step.cache_info().currsize == c.time_bound
+
+
+def test_unread_stream_bits_leave_the_mask_unchanged():
+    # only bits i + (i+k)*T (steps i+1 = 1..T, cells k = 1..n) are coins of
+    # in-bounds cells; the sweeper's read mask is exactly those bits, and
+    # flipping any other bit changes neither the mask nor the stepping
+    rng = random.Random(59)
+    for q, T, n in product((2, 3), range(1, 5), range(1, 4)):
+        m = (n + T) * T
+        read = {i + (i + k) * T for i in range(T) for k in range(1, n + 1)}
+        c = sample_paca(rng, q, T)
+        x = tuple(rng.choice(c.sigma) for _ in range(n))
+        assert c._sweeper(x)[1] == sum(1 << bit for bit in read), (T, n)
+        for r in [rng.getrandbits(m) for _ in range(4)]:
+            want = steps_by_stepping(c, x, r)
+            for bit in set(range(m)) - read:
+                flipped = r ^ (1 << bit)
+                assert steps_by_stepping(c, x, flipped) == want, (q, T, x, r, bit)
+                assert accepting_steps_of_stream(c, x, flipped) == want, (q, T, x, r, bit)
+
+
+def test_sweeper_memo_stays_bounded_and_exact_past_eviction():
+    # q = 3, T = 3, n = 5 reads 15 bits of each stream: 6,000 random streams
+    # carry more read patterns than the memo's 4,096 entries, so it evicts,
+    # and the first 2,000 come back after eviction; every mask still equals
+    # stepping by paca.step
+    rng = random.Random(73)
+    c = sample_paca(rng, 3, 3)
+    n, T = 5, c.time_bound
+    x = tuple(rng.choice(c.sigma) for _ in range(n))
+    streams = [rng.getrandbits((n + T) * T) for _ in range(6000)]
+    streams += streams[:2000]
+    got = [accepting_steps_of_stream(c, x, r) for r in streams]
+    assert got == [steps_by_stepping(c, x, r) for r in streams]
+    info = c._sweeper(x)[2].cache_info()
+    assert info.misses > 1 << 12 and info.currsize <= 1 << 12, info
+
+
+def test_inputs_are_checked_unless_they_are_the_latest_tuple():
+    c = sample_paca(random.Random(5), 3, 2)
+    x = (1, 0, 2)
+    want = [accepting_steps_of_stream(c, x, r) for r in range(64)]
+    assert want == [steps_by_stepping(c, x, r) for r in range(64)]
+    # a list is checked on every call, so a change between calls is seen
+    xs = list(x)
+    assert [accepting_steps_of_stream(c, xs, r) for r in range(64)] == want
+    for bad in (c.q, -1, True, 1.0, "1"):
+        xs[0] = bad
+        with pytest.raises(ParameterError):
+            accepting_steps_of_stream(c, xs, 0)
+    xs[0] = 1
+    assert accepting_steps_of_stream(c, xs, 5) == want[5]
+    # tuples equal to the memoized (1, 0, 2) are checked as well, straight
+    # after it and between calls on other inputs
+    for bad in ((True, 0, 2), (1.0, 0, 2), (1, False, 2)):
+        assert accepting_steps_of_stream(c, x, 5) == want[5]
+        with pytest.raises(ParameterError):
+            accepting_steps_of_stream(c, bad, 0)
+    y = (2, 2, 1)
+    for r in range(64):
+        assert accepting_steps_of_stream(c, x, r) == want[r]
+        assert accepting_steps_of_stream(c, y, r) == steps_by_stepping(c, y, r)
 
 
 def window_sweep_steps(c, x, r):
@@ -798,6 +867,28 @@ def test_tables_refuse_bad_shapes_and_entries():
         with_table(np.zeros((q + 1, q, q), dtype=np.int16))
     with pytest.raises(ParameterError):
         with_table(np.full((q + 1, q, q + 1), q, dtype=np.int16))
+
+
+def test_paca_refuses_data_that_is_not_int():
+    c = sample_paca(random.Random(6), 3, 2)
+    fields = dict(q=c.q, sigma=c.sigma, accepting=c.accepting, delta0=c.delta0,
+                  delta1=c.delta1, time_bound=c.time_bound)
+    bad = [
+        ("time_bound", True), ("time_bound", 2.0), ("time_bound", 2.5), ("time_bound", 0),
+        ("q", 3.0), ("q", True), ("accepting", frozenset({True})),
+        ("accepting", frozenset({3})), ("sigma", ()), ("sigma", (0, 1.0)), ("sigma", (False,)),
+    ]
+    for name, value in bad:
+        with pytest.raises(ParameterError):
+            Paca(**dict(fields, **{name: value}))
+    spec = paca_to_json(c)
+    for name, value in (("time_bound", True), ("time_bound", 2.0), ("accepting", [True]),
+                        ("sigma", [])):
+        with pytest.raises(ParameterError):
+            paca_from_json(dict(spec, **{name: value}))
+    for x in ((True, 0), (1.0, 0), (0, "1")):
+        with pytest.raises(ParameterError):
+            exact_accept_probability(c, x)
 
 
 def test_paca_to_json_roundtrips():

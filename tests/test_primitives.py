@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swprg.errors import ConfigurationError, ShapeError
+from swprg.errors import ConfigurationError, ParameterError, ShapeError
 from swprg.primitives import (
     Extractor,
     HashFamily,
@@ -151,6 +151,14 @@ def test_hash_eval_refuses_out_of_range():
     for seed, x in ((0, -1), (0, 1 << 3), (-1, 0), (1 << fam.seed_bits, 0)):
         with pytest.raises(ShapeError):
             fam.eval(seed, x)
+
+
+def test_hash_family_refuses_a_shape_that_is_not_a_positive_int():
+    # HashFamily(0, 4) once built and raised ZeroDivisionError on its first eval
+    for a, b in ((0, 4), (3, 0), (-1, 2), (True, 2), (2, False), (2.0, 2), (2, "2")):
+        with pytest.raises(ParameterError, match="hash family"):
+            HashFamily(a, b)
+    assert HashFamily(1, 1).eval(0b11, 1) == 0
 
 
 def test_gf_mul_field_axioms():
