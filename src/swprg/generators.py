@@ -24,8 +24,9 @@ from .primitives import Extractor, HashFamily, extractor_from_json, perfect_extr
 if TYPE_CHECKING:
     import numpy as np
 
-# The most entries of a seed or stream array that a per-seed loop holds as
-# Python ints at once (see :func:`iter_ints`).
+# The seeds an expansion table is filled with at a time, the most outputs in
+# one slice of ``output_runs``, and the most entries of a seed or stream array
+# that a per-seed loop holds as Python ints at once (see :func:`iter_ints`).
 CHUNK = 1 << 12
 
 
@@ -42,9 +43,13 @@ class GeneratorSpec:
     """Base class; concrete nodes are frozen dataclasses below.
 
     A node declares its JSON ``kind`` and one expansion method,
-    :meth:`expand_seeds`; every other expansion is derived from it, and so
-    is :meth:`output_counts` unless a node can count its outputs without
-    expanding every seed.  Its ``__post_init__`` checks its fields and
+    :meth:`expand_seeds`; every other expansion is derived from it.  The
+    cached table of :meth:`expand_all` is filled ``CHUNK`` seeds at a time,
+    so an expansion's numpy temporaries are O(``CHUNK``) whatever ``d``.
+    :meth:`output_runs` walks the distinct outputs ``CHUNK`` seeds' worth at
+    a time, and :meth:`output_counts` is their concatenation; a node that can
+    count its outputs without expanding every seed overrides
+    :meth:`output_runs`.  Its ``__post_init__`` checks its fields and
     derives, once, its shape (``d``, ``blocks``, ``block_bits``), its
     ``eps_budget`` and its ``window``: the largest program window the budget
     is argued for, ``None`` for any.  The derived values are plain instance
@@ -118,17 +123,39 @@ class GeneratorSpec:
         self._check_enumerable(cap)
         return _expand_all_cached(self)
 
-    def output_counts(self, cap: int = DEFAULT_CAP_BITS) -> Tuple[np.ndarray, np.ndarray]:
-        """The distinct outputs, packed uint64 in no fixed order, and how many
-        of the 2**d seeds produce each one, as int64.  Refuses as
-        :meth:`expand_all` does."""
+    def output_runs(self, cap: int = DEFAULT_CAP_BITS) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The distinct outputs, packed uint64 in ascending order, and how
+        many of the 2**d seeds produce each one, as int64, in slices: each
+        slice covers the runs of at least ``CHUNK`` seeds of one sorted copy
+        of :meth:`expand_all` (fewer in the last), cut at a run boundary, so
+        it holds at most ``CHUNK`` outputs and no output is in two slices.
+        Refuses as :meth:`expand_all` does, when called."""
         import numpy as np
 
-        return np.unique(self.expand_all(cap), return_counts=True)
+        ordered = np.sort(self.expand_all(cap))
+
+        def runs():
+            start = 0
+            while start < len(ordered):
+                window = ordered[start : start + CHUNK]
+                values = window[np.concatenate(([True], window[1:] != window[:-1]))]
+                # the last run may go on past the window
+                ends = np.searchsorted(ordered, values, side="right")
+                yield values, np.diff(ends, prepend=start)
+                start = int(ends[-1])
+
+        return runs()
+
+    def output_counts(self, cap: int = DEFAULT_CAP_BITS) -> Tuple[np.ndarray, np.ndarray]:
+        """The slices of :meth:`output_runs`, concatenated."""
+        import numpy as np
+
+        values, counts = zip(*self.output_runs(cap))
+        return np.concatenate(values), np.concatenate(counts)
 
     @property
     def seeds_expanded(self) -> int:
-        """The seeds :meth:`output_counts` expands."""
+        """The seeds :meth:`output_runs` expands: each seed once."""
         return 1 << self.d
 
     def to_json(self) -> dict:
@@ -154,9 +181,14 @@ class GeneratorSpec:
 
 @lru_cache(maxsize=128)
 def _expand_all_cached(spec: "GeneratorSpec") -> np.ndarray:
+    """The table of every seed's output, filled ``CHUNK`` seeds at a time."""
     import numpy as np
 
-    out = spec.expand_seeds(np.arange(1 << spec.d, dtype=np.uint64))
+    size = 1 << spec.d
+    out = np.empty(size, dtype=np.uint64)
+    for start in range(0, size, CHUNK):
+        stop = min(start + CHUNK, size)
+        out[start:stop] = spec.expand_seeds(np.arange(start, stop, dtype=np.uint64))
     out.setflags(write=False)
     return out
 
@@ -164,11 +196,12 @@ def _expand_all_cached(spec: "GeneratorSpec") -> np.ndarray:
 def _expand_part(child: GeneratorSpec, part: np.ndarray) -> np.ndarray:
     """Outputs of ``child`` on its part of a parent's seeds.
 
-    The child's cached table is gathered from when it is no larger than the
-    seed array (so every seed is expanded once per child however many
-    parent seeds share it); a few seeds are expanded directly.
+    The child's cached table is gathered from when the seed array is a full
+    slice of :func:`_expand_all_cached` or covers the table, so every child
+    seed is expanded once per enumeration however many parent seeds share
+    it; a few seeds are expanded directly.
     """
-    if len(part) >= 1 << child.d:
+    if len(part) >= min(CHUNK, 1 << child.d):
         return child.expand_all(cap=child.d)[part]
     return child.expand_seeds(part)
 
@@ -385,8 +418,10 @@ class RectCompose(GeneratorSpec):
     r * eps_base + eps_cr: the telescoping product bound plus the
     rectangle generator's own error.  The expansion cuts each block's base
     seeds into one reused array and ORs each block's outputs into the
-    result in place; its per-seed Python objects are those of the
-    rectangle and base, at most ``CHUNK`` at once.
+    result in place, so it holds four arrays the length of its seeds,
+    ``CHUNK`` of them when :meth:`expand_all` fills its table; its per-seed
+    Python objects are those of the rectangle and base, at most ``CHUNK``
+    at once.
     """
 
     kind = "rect_compose"
@@ -471,21 +506,28 @@ class Interleave(GeneratorSpec):
         o2 = _expand_part(self.g2, seeds >> np.uint64(self.g1.d))
         return self._merge(o1, o2)
 
-    def output_counts(self, cap: int = DEFAULT_CAP_BITS) -> Tuple[np.ndarray, np.ndarray]:
+    def output_runs(self, cap: int = DEFAULT_CAP_BITS) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """The product of the halves' counts, built from their distinct
-        outputs alone.  The merge is a bit permutation of (o1, o2), so
-        distinct pairs give distinct outputs."""
+        outputs alone, ``CHUNK`` pairs a slice, g1's output the major index.
+        The merge is a bit permutation of (o1, o2), so distinct pairs give
+        distinct outputs; they are not in ascending order."""
         import numpy as np
 
         self._check_enumerable(cap)
         v1, c1 = self.g1.output_counts(cap)
         v2, c2 = self.g2.output_counts(cap)
-        values = self._merge(np.repeat(v1, len(v2)), np.tile(v2, len(v1)))
-        return values, np.outer(c1, c2).ravel()
+
+        def runs():
+            size = len(v1) * len(v2)
+            for start in range(0, size, CHUNK):
+                i1, i2 = np.divmod(np.arange(start, min(start + CHUNK, size)), len(v2))
+                yield self._merge(v1[i1], v2[i2]), c1[i1] * c2[i2]
+
+        return runs()
 
     @property
     def seeds_expanded(self) -> int:
-        """Each half's seeds, expanded on their own (:meth:`output_counts`)."""
+        """Each half's seeds, expanded on their own (:meth:`output_runs`)."""
         return self.g1.seeds_expanded + self.g2.seeds_expanded
 
 

@@ -209,10 +209,10 @@ class MaskFamily:
             bits[layer - 1][state] |= 1 << j
         return bits
 
-    def accept_counts(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        """How many outputs each program accepts, by mask, as int64 counts,
-        where the output ``values[i]`` (packed) occurs ``mult[i]`` times and
-        ``values`` holds no repeats: what ``g.output_counts()`` returns."""
+    def _add_visits(self, hist: np.ndarray, values: np.ndarray, mult: np.ndarray) -> None:
+        """Add ``mult[i]`` to ``hist[v]`` for each output ``values[i]``
+        (packed) that the base accepts, v the set of toggle positions it
+        visits; ``hist`` is an int64 array of ``len(self)`` entries."""
         trans, acc = program_tables(self.base)
         bits = np.array(self._visit_bits(), dtype=np.int64)
         alive = np.ones(len(values), dtype=bool)
@@ -221,8 +221,16 @@ class MaskFamily:
             alive &= acc[i][state]
             if bits[i].any():
                 visits |= bits[i][state]
-        hist = np.zeros(len(self), dtype=np.int64)
         np.add.at(hist, visits[alive], mult[alive])
+
+    def accept_counts(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """How many outputs each program accepts, by mask, as int64 counts,
+        where the output ``values[i]`` (packed) occurs ``mult[i]`` times and
+        ``values`` holds no repeats: what ``g.output_counts()`` returns, or
+        one slice of ``g.output_runs()``.  One histogram of visit sets
+        (:meth:`_add_visits`) and one subset-sum transform."""
+        hist = np.zeros(len(self), dtype=np.int64)
+        self._add_visits(hist, values, mult)
         return _subset_sums_by_mask(hist)
 
     def uniform_counts(self) -> np.ndarray:
@@ -336,9 +344,11 @@ class _Counts:
 
 
 def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
-    """Count ``g``'s distinct outputs once (``g.output_counts``) and, for
-    every program, the seeds and the uniform inputs it accepts, one family
-    at a time; each family walks the distinct outputs once.  Refuses, before
+    """Walk ``g``'s distinct outputs once, a slice at a time
+    (``g.output_runs``), and count, for every program, the seeds and the
+    uniform inputs it accepts.  Each slice adds to every family's histogram
+    of visit sets (:meth:`MaskFamily._add_visits`); then one subset-sum
+    transform per family gives its seed counts.  Refuses, before
     expanding, programs of the wrong length (ShapeError) or outside ``g``'s
     class (ConfigurationError).
 
@@ -351,16 +361,21 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
     for family in families:
         _check_width(g, family.base)
         _check_class(g, family.base)
-    values, mult = g.output_counts(cap_seeds)
+    hists = [np.zeros(len(family), dtype=np.int64) for family in families]
+    distinct = 0
+    for values, mult in g.output_runs(cap_seeds):
+        distinct += len(values)
+        for family, hist in zip(families, hists):
+            family._add_visits(hist, values, mult)
     seed: List[int] = []
     uniform: List[int] = []
-    for family in families:
-        seed += family.accept_counts(values, mult).tolist()
+    for family, hist in zip(families, hists):
+        seed += _subset_sums_by_mask(hist).tolist()
         uniform += family.uniform_counts().tolist()
     work = {
         "seeds_expanded": g.seeds_expanded,
-        "distinct_outputs": len(values),
-        "seed_layer_evals": len(values) * g.flat_bits * len(families),
+        "distinct_outputs": distinct,
+        "seed_layer_evals": distinct * g.flat_bits * len(families),
         "programs_counted": len(seed),
     }
     return _Counts(families, seed, uniform, work)

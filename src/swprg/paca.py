@@ -212,9 +212,13 @@ def step(c: Paca, config: Configuration, row: Sequence[int]) -> Configuration:
 
 
 def _check_input(c: Paca, x: Sequence[int]) -> Tuple[int, ...]:
-    """``x`` as a tuple; refuses it with ParameterError if it is empty or
-    has a symbol that is not an int (a bool is not) of the alphabet."""
-    x = tuple(x)
+    """``x`` as a tuple; refuses it with ParameterError if it is not
+    iterable, is empty or has a symbol that is not an int (a bool is not)
+    of the alphabet."""
+    try:
+        x = tuple(x)
+    except TypeError:
+        raise ParameterError(f"input {x!r} is not a sequence of symbols") from None
     if not x:
         raise ParameterError("empty input")
     if not all(type(s) is int for s in x) or not c._alphabet.issuperset(x):
@@ -369,6 +373,18 @@ def accepting_steps_of_stream(c: Paca, x: Sequence[int], r: int) -> int:
 Builder = Callable[[int, Fraction], object]
 
 
+def _check_eps(eps) -> Fraction:
+    """``eps`` as a Fraction; refuses it with ParameterError unless it is a
+    number strictly between 0 and 1."""
+    try:
+        eps = Fraction(eps)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ParameterError(f"eps {eps!r} is not a number") from None
+    if not 0 < eps < 1:
+        raise ParameterError(f"eps must lie strictly between 0 and 1: {eps}")
+    return eps
+
+
 def derandomize_one_sided(
     c: Paca, x: Sequence[int], eps: Fraction, hsg_builder: Optional[Builder]
 ) -> bool:
@@ -379,12 +395,13 @@ def derandomize_one_sided(
     seed's stream has a non-empty step mask.  eps is a strict floor: every
     input in the language is accepted with probability above eps.  A ``None`` builder
     takes every coin matrix once, as an exhaustive generator would.
+    Refuses an eps outside (0, 1) with ParameterError.
     """
-    x = _check_input(c, x)
+    x, eps = _check_input(c, x), _check_eps(eps)
     n, T = len(x), c.time_bound
     if c.config_accepting(x):
         return True
-    h = None if hsg_builder is None else hsg_builder((n + T) * T, Fraction(eps) / T)
+    h = None if hsg_builder is None else hsg_builder((n + T) * T, eps / T)
     counts, _ = step_vector_counts(c, x, h)
     return any(counts)
 
@@ -435,13 +452,14 @@ def derandomize_two_sided(
     mask (its subsets' signs sum to 1), so eta is the share of outcomes
     whose mask is not empty, and the terms (:class:`EtaTerms`) are built
     only when read.  A ``None`` builder takes every coin matrix once, as an
-    exhaustive generator would.
+    exhaustive generator would.  Refuses an eps outside (0, 1) with
+    ParameterError.
     """
-    x = _check_input(c, x)
+    x, eps = _check_input(c, x), _check_eps(eps)
     n, T = len(x), c.time_bound
     if c.config_accepting(x):
         return TwoSidedResult(True, Fraction(1), {})
-    g = None if prg_builder is None else prg_builder((n + T) * T, Fraction(eps) / (1 << T))
+    g = None if prg_builder is None else prg_builder((n + T) * T, eps / (1 << T))
     counts, bits = step_vector_counts(c, x, g)
     eta = 1 - Fraction(counts.get(0, 0), 1 << bits)
     return TwoSidedResult(eta > Fraction(1, 2), eta, EtaTerms(counts, bits, T))
@@ -483,14 +501,14 @@ def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], 
     matrices that the window sweep counts for :func:`exact_accept_probability`
     too (:func:`_step_vector_distribution`), in the same proportions;
     for any other generator they are its seeds: each distinct stream is
-    swept once and weighted by how many seeds emit it.  The streams and
-    their weights are read as Python ints a chunk at a time
-    (:func:`generators.iter_ints`), so the sweep holds at most ``CHUNK``
-    of them at once.
+    swept once and weighted by how many seeds emit it.  The sweep walks
+    the generator's slices of distinct streams and their weights
+    (:meth:`generators.GeneratorSpec.output_runs`), so it holds at most
+    ``CHUNK`` of them at once, as Python ints or in numpy arrays.
     """
     if g is None:
         return _step_vector_distribution(c, x)
-    from .generators import Exhaustive, iter_ints  # loaded already by whoever built g
+    from .generators import Exhaustive  # loaded already by whoever built g
 
     n, T = len(x), c.time_bound
     m = (n + T) * T
@@ -500,12 +518,12 @@ def step_vector_counts(c: Paca, x: Tuple[int, ...], g) -> Tuple[Dict[int, int], 
         return _step_vector_distribution(c, x)
     steps_mask = (1 << T) - 2
     counts: Dict[int, int] = {}
-    streams, mult = g.output_counts()
-    # map makes the per-stream calls from C
-    masks = map(partial(accepting_steps_of_stream, c, x), iter_ints(streams))
-    for v, k in zip(masks, iter_ints(mult)):
-        v &= steps_mask
-        counts[v] = counts.get(v, 0) + k
+    sweep = partial(accepting_steps_of_stream, c, x)
+    for streams, mult in g.output_runs():
+        # map makes the per-stream calls from C
+        for v, k in zip(map(sweep, streams.tolist()), mult.tolist()):
+            v &= steps_mask
+            counts[v] = counts.get(v, 0) + k
     return counts, g.d
 
 
@@ -650,9 +668,10 @@ def build_c2() -> Paca:
 
 def sample_paca(rng: random.Random, q: int, time_bound: int) -> Paca:
     """Seeded random PACA: dense random local rules, a random non-trivial
-    accepting set, full input alphabet."""
-    if q < 2:
-        raise ParameterError("need at least two states")
+    accepting set, full input alphabet.  Refuses a q that is not an int
+    (a bool is not) of at least 2 with ParameterError."""
+    if type(q) is not int or q < 2:
+        raise ParameterError(f"need an int of at least two states: {q!r}")
     delta0, delta1 = (
         [[[rng.randrange(q) for _ in range(q + 1)] for _ in range(q)] for _ in range(q + 1)]
         for _ in (0, 1)
@@ -677,7 +696,11 @@ def check_time_bound(c: Paca, n: int) -> bool:
     all-accepting configuration strictly before step T?  Follows for T steps
     the configurations reachable without an accepting visit, by every coin
     row; the bound fails iff an accepting configuration is reachable from
-    the step-T frontier through non-accepting configurations."""
+    the step-T frontier through non-accepting configurations.  Refuses an
+    n that is not an int (a bool is not) of at least 1 with ParameterError."""
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"input length must be an int >= 1: {n!r}")
+
     def reach(configs) -> set:
         return {step(c, cf, row) for cf in configs for row in product((0, 1), repeat=n)}
 

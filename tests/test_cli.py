@@ -396,6 +396,14 @@ def test_paca_derand1_rejects_probability_zero(tmp_path):
     assert json.loads((out / "paca.json").read_text())["accept"] is False
 
 
+def test_paca_refuses_eps_outside_the_unit_interval(tmp_path):
+    for mode in ("derand1", "derand2"):
+        for eps in ("2", "0", "-1/4"):
+            config = {"paca": "c1", "mode": mode, "input": [0], "eps": eps}
+            code, out = run(tmp_path, "paca", config)
+            assert code == EXIT_CONFIG and not (out / "paca.json").exists(), (mode, eps)
+
+
 def n64_paca_modes(tmp_path):
     """exact, derand1 and derand2 on a random q = 3, T = 4 PACA over a
     64-symbol input, where no chain over whole configurations finishes."""

@@ -1,10 +1,12 @@
 import json
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from swprg.bits import bits_to_int
 from swprg.errors import CapExceeded, ParameterError, ShapeError
@@ -12,6 +14,7 @@ from swprg.generators import (
     CHUNK,
     _expand_all_cached,
     NODES,
+    Exhaustive,
     ExhaustiveRectangle,
     PairwiseRectangle,
     base_exhaustive,
@@ -24,7 +27,9 @@ from swprg.generators import (
     with_measured_error,
 )
 from swprg.hsg import hsg_from_json
-from swprg.primitives import HashFamily, cayley_extractor, perfect_extractor
+from swprg.primitives import (
+    HashFamily, aghp_set, cayley_extractor, cayley_extractor_from_set, perfect_extractor,
+)
 
 
 # --- pure-Python reference expander ------------------------------------------
@@ -410,9 +415,92 @@ def test_output_counts_refuse_as_expand_all_does():
                 g.expand_all(cap=cap)
             with pytest.raises(CapExceeded) as got:
                 g.output_counts(cap=cap)
-            assert (str(got.value), got.value.required_bits) == (
-                str(want.value), want.value.required_bits
-            )
+            with pytest.raises(CapExceeded) as runs:
+                g.output_runs(cap=cap)  # when called, before a slice is asked for
+            for refusal in (got, runs):
+                assert (str(refusal.value), refusal.value.required_bits) == (
+                    str(want.value), want.value.required_bits
+                )
+
+
+@dataclass(frozen=True)
+class Thirds(Exhaustive):
+    """Output seed // 3: runs of three seeds, so CHUNK-seed windows of the
+    sorted outputs (CHUNK = 3 * 1365 + 1) end inside runs."""
+
+    def expand_seeds(self, seeds):
+        return seeds // np.uint64(3)
+
+
+def test_output_runs_are_the_distinct_outputs_in_slices():
+    # a Nisan base maps its 8 seeds onto 4 outputs, so the 2**15 seeds of this
+    # rectangle repeat their outputs, in runs that end on every window; the
+    # runs of Thirds cross the windows
+    nisan2 = base_nisan(2, 2, Fraction(1, 4))
+    repeated = rect_compose(nisan2, PairwiseRectangle(16, nisan2.d))
+    thirds = Thirds(1, 14)
+    nested = interleave(interleave(nisan2, base_exhaustive(2)), interleave(nisan2, nisan2))
+    # 256 x 256 distinct pairs, 16 slices
+    product = interleave(rect_compose(nisan2, ExhaustiveRectangle(4, nisan2.d)),
+                         ExhaustiveRectangle(4, 2))
+    crossed = False
+    for g in every_node_kind() + [repeated, thirds, nested, product]:
+        slices = list(g.output_runs())
+        values = np.concatenate([v for v, _ in slices])
+        counts = np.concatenate([c for _, c in slices])
+        assert all(0 < len(v) == len(c) <= CHUNK for v, c in slices), g.to_json()
+        assert len(np.unique(values)) == len(values) and counts.dtype == np.int64
+        want_values, want_counts = np.unique(g.expand_all(), return_counts=True)
+        if g.to_json()["kind"] == "interleave":  # product order, not ascending
+            order = np.argsort(values)
+            values, counts = values[order], counts[order]
+        else:
+            assert all(np.all(v[1:] > v[:-1]) for v, _ in slices)
+            assert all(a[0][-1] < b[0][0] for a, b in zip(slices, slices[1:]))
+        assert values.tolist() == want_values.tolist(), g.to_json()
+        assert counts.tolist() == want_counts.tolist(), g.to_json()
+        # a slice covering more than CHUNK seeds took in a run past its window
+        crossed |= g is thirds and any(c.sum() > CHUNK for _, c in slices[:-1])
+    assert crossed and len(list(thirds.output_runs())) == 4
+    assert len(list(product.output_runs())) == 16
+
+
+def test_expand_all_of_the_paca_generator_fills_its_table_by_slices():
+    # the d = 16 generator of perfbench's PACA job: with its base's table
+    # cached by an earlier spec of the same shape, a fresh expansion holds its
+    # 512 KiB table and CHUNK-seed temporaries; seed-sized ones peak at 3 MiB
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "paca-gen.json"
+    g = generator_from_json(json.loads(config.read_text()))
+    other = rect_compose(base_exhaustive(4), PairwiseRectangle(8, 4, Fraction(1, 2)))
+    _expand_all_cached.cache_clear()
+    other.expand_all()
+    outputs, peak = traced_peak(g.expand_all)
+    assert g.d == 16 and len(outputs) == 1 << 16
+    assert outputs.tolist() == other.expand_all().tolist()
+    assert peak < 1 << 20, peak
+
+
+def test_child_seeds_are_expanded_once_per_enumeration():
+    # an inner generator of 2**13 seeds, more than a CHUNK-seed slice of its
+    # parent's 2**15: each parent slice gathers from the inner table, so the
+    # inner generator expands each of its seeds once, not once per parent seed
+    expanded = []
+
+    @dataclass(frozen=True)
+    class CountedExhaustive(Exhaustive):
+        def expand_seeds(self, seeds):
+            expanded.append(len(seeds))
+            return super().expand_seeds(seeds)
+
+    inner = CountedExhaustive(1, 13)
+    g = inw_stretch(inner, cayley_extractor_from_set(13, 1, aghp_set(13, 1)))
+    assert g.d == 15
+    outputs = g.expand_all()
+    assert sum(expanded) == 1 << 13
+    assert outputs.tolist() == [
+        s_g | (s_g ^ g.extractor.generators[s >> 13]) << 13
+        for s in range(1 << 15) for s_g in [s & ((1 << 13) - 1)]
+    ]
 
 
 def test_expand_all_cache_is_read_only():

@@ -1,11 +1,11 @@
 import random
 import time
-import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from swprg.bits import int_to_bits
 from swprg.bp import (
@@ -87,6 +87,9 @@ class ConstantGen:
     def output_counts(self, cap=24):
         return np.unique(self.expand_all(cap), return_counts=True)
 
+    def output_runs(self, cap=24):
+        yield self.output_counts(cap)
+
     def expand_int(self, seed):
         return self.value
 
@@ -107,6 +110,9 @@ class TableGen:
 
     def output_counts(self, cap=24):
         return np.unique(self.expand_all(cap), return_counts=True)
+
+    def output_runs(self, cap=24):
+        yield self.output_counts(cap)
 
     def to_json(self):
         return {"kind": "table", "outputs": self.outputs.tolist()}
@@ -183,6 +189,9 @@ def test_simultaneous_duplicated_block():
 
         def output_counts(self, cap=24):
             return np.unique(self.expand_all(cap), return_counts=True)
+
+        def output_runs(self, cap=24):
+            yield self.output_counts(cap)
 
         def expand_int(self, seed):
             return 0b11 * seed
@@ -375,12 +384,7 @@ def test_interleave_report_builds_no_seed_sized_array():
     g = interleave(half, half)
     fam = swbp_family(16, 2, 5)
     generators._expand_all_cached.cache_clear()  # an earlier test's cached table would hide one
-    tracemalloc.start()
-    try:
-        report = run_fooling_report(g, fam, g.eps_budget)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: run_fooling_report(g, fam, g.eps_budget))
     assert g.d == 20 and report.work["distinct_outputs"] == 144 * 144
     assert report.work["seeds_expanded"] == g.seeds_expanded == 2 << 10
     assert peak < 8 << 20  # one uint64 array of 2**20 outputs

@@ -1,6 +1,5 @@
 import json
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from swprg import cli, paca
 from swprg.bp import acceptance_probability, check_window, evaluate_int, WindowCertificate
@@ -562,14 +562,41 @@ def test_step_vector_counts_memory_is_bounded_by_the_chunk():
     c = sample_paca(random.Random(7), 3, 4)
     x = (min(set(c.sigma) - c.accepting),) * 4  # (4 + 4) * 4 = 32 stream bits
     g.expand_all()  # cached, as the derandomizer's later calls find it
-    tracemalloc.start()
-    try:
-        counts, bits = step_vector_counts(c, x, g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (counts, bits), peak = traced_peak(lambda: step_vector_counts(c, x, g))
     assert g.d == 16 and sum(counts.values()) == 1 << 16
     assert peak < 3 << 20, peak
+
+
+def test_inputs_that_are_not_iterable_are_refused():
+    # they once escaped tuple() as a raw TypeError
+    c = build_c1()
+    calls = (
+        lambda x: exact_accept_probability(c, x),
+        lambda x: accepting_steps_of_stream(c, x, 0),
+        lambda x: sliding_sim(c, x, {1}),
+        lambda x: derandomize_one_sided(c, x, Fraction(1, 4), None),
+        lambda x: derandomize_two_sided(c, x, Fraction(1, 4), None),
+    )
+    for x in (5, None, 1.5):
+        for call in calls:
+            with pytest.raises(ParameterError, match="not a sequence"):
+                call(x)
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1, 2, Fraction(3, 2), "abc", None])
+def test_derandomizers_refuse_eps_outside_the_unit_interval(eps):
+    # eps = -1 and 0 once ran derand2, and eps = 2 ran derand1, to a verdict
+    c, x = build_c1(), (0,)
+    exhaustive = lambda m, thr: base_exhaustive(m)  # noqa: E731
+    for builder in (None, exhaustive):
+        with pytest.raises(ParameterError, match="eps"):
+            derandomize_one_sided(c, x, eps, builder)
+        with pytest.raises(ParameterError, match="eps"):
+            derandomize_two_sided(c, x, eps, builder)
+    # an input accepted at step 0 is refused too, before the shortcut
+    c = identity_paca()
+    with pytest.raises(ParameterError):
+        derandomize_two_sided(c, (1,), eps, None)
 
 
 def test_derandomize_two_sided_exhaustive_equals_exact():
@@ -727,6 +754,13 @@ def test_time_bound_fixtures():
     assert not check_time_bound(tight, 1)
 
 
+def test_time_bound_refuses_a_length_that_is_not_a_positive_int():
+    # n = 0 once passed vacuously, and n = 1.5 raised a raw TypeError
+    for n in (0, -1, 1.5, True, "1"):
+        with pytest.raises(ParameterError):
+            check_time_bound(build_c1(), n)
+
+
 def test_time_bound_sees_late_acceptance_after_a_cycle():
     # one cell over A, B, C: A -> B; B -> A on coin 0, B -> C on coin 1;
     # C accepting.  First acceptance can come at any even step.
@@ -822,6 +856,12 @@ def test_sample_paca_deterministic():
     a = sample_paca(random.Random(4), 3, 2)
     b = sample_paca(random.Random(4), 3, 2)
     assert np.array_equal(a.delta0, b.delta0) and a.accepting == b.accepting
+
+
+def test_sample_paca_refuses_a_state_count_that_is_not_an_int():
+    for q in (2.5, 1, True, "3"):
+        with pytest.raises(ParameterError):
+            sample_paca(random.Random(4), q, 2)
 
 
 def test_tables_from_arrays_lists_and_tuples_are_equal():
