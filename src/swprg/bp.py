@@ -189,6 +189,12 @@ def _word_from_msb_index(value: int, length: int) -> BitString:
     return tuple((value >> (length - 1 - j)) & 1 for j in range(length))
 
 
+def _check_window_size(t: int, n: int) -> None:
+    """Refuse a window size that is not an int (a bool is not) in 1..n."""
+    if type(t) is not int or not 1 <= t <= n:
+        raise ParameterError(f"window size {t!r} is not an int in 1..{n}")
+
+
 def check_window(p: LayeredProgram, t: int) -> WindowCheckResult:
     """Decide whether ``p`` has window size ``t``.
 
@@ -197,8 +203,7 @@ def check_window(p: LayeredProgram, t: int) -> WindowCheckResult:
     states reachable from the initial state are compared; disagreements
     among unreachable states are ignored.
     """
-    if t < 1 or t > p.n:
-        raise ParameterError(f"window size {t} out of range 1..{p.n}")
+    _check_window_size(t, p.n)
     reach = p.reachable()
     for i in range(p.n - t + 1):
         states = sorted(reach[i])
@@ -224,8 +229,7 @@ def build_certificate(p: LayeredProgram, t: int) -> Optional[WindowCertificate]:
     some window word disagree, i.e. the program is not a window-``t``
     program.  Independent of :func:`check_window`'s direct scan (single-step
     lookups only)."""
-    if t < 1 or t > p.n:
-        raise ParameterError(f"window size {t} out of range 1..{p.n}")
+    _check_window_size(t, p.n)
     alphas: List[Tuple[int, ...]] = [(p.q0,)]
     for i in range(p.n):
         k = min(i, t)
@@ -263,8 +267,7 @@ def canonical_debruijn_swbp(n: int, t: int) -> Tuple[LayeredProgram, WindowCerti
     realizes both regimes.  Labelings come from :func:`relabel` or
     ``lab.MaskFamily``.
     """
-    if t < 1 or t > n:
-        raise ParameterError(f"window size {t} out of range 1..{n}")
+    _check_window_size(t, n)
     w = 1 << t
     table = tuple((((q << 1) & (w - 1), ((q << 1) | 1) & (w - 1)) for q in range(w)))
     trans = tuple(table for _ in range(n))

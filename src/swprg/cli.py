@@ -6,14 +6,13 @@ hash so runs are attributable, with timestamps kept in a separate metadata
 field so the payloads stay byte-identical across runs.
 
 Exit codes: 0 = pass, 1 = budget violation / window violation / reject,
-2 = enumeration cap refused, 3 = bad config (a missing or malformed value).
+2 = refused (an enumeration above the 2**24 cap, or outputs wider than 63 bits),
+3 = bad config (a missing or malformed value).
 
 Each command imports the modules it uses when it runs, so ``paca`` and
 ``window-check``, which expand no seed, never load numpy, ``paca`` loads no
 generator or program module and no ``dataclasses``, the verify commands
 never load ``paca``, and none loads ``hashlib`` (:func:`_config_hash`).
-``--cap-seeds`` bounds generator seed enumeration, in
-``gen``, ``verify-fool`` and ``verify-hit``; no ``paca`` mode reads it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DEFAULT_CAP_BITS, CapExceeded, SwprgError
+from .errors import CapExceeded, SwprgError
 
 if TYPE_CHECKING:
     from .paca import Paca
@@ -92,7 +91,7 @@ def cmd_gen(config: dict, out_dir: Path, args) -> int:
         "eps_budget": str(g.eps_budget),
     }
     if config.get("dump", False):
-        outs = g.expand_all(args.cap_seeds)
+        outs = g.expand_all()
         payload["expansion"] = [int(v) for v in outs]
     _write(out_dir, "generator.json", payload, config)
     return EXIT_PASS
@@ -103,8 +102,8 @@ def cmd_verify_fool(config: dict, out_dir: Path, args) -> int:
 
     g = generators.generator_from_json(config["generator"])
     family, family_name = _load_programs(config)
-    eps = Fraction(config.get("eps_budget", g.eps_budget))
-    report = lab.run_fooling_report(g, family, eps, family_name, args.cap_seeds)
+    eps = config.get("eps_budget", g.eps_budget)
+    report = lab.run_fooling_report(g, family, eps, family_name)
     _write(out_dir, "fooling.json", report.to_json(), config)
     (out_dir / "fooling.csv").write_text(report.to_csv())
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -115,7 +114,7 @@ def cmd_verify_hit(config: dict, out_dir: Path, args) -> int:
 
     h = hsg.hsg_from_json(config["hsg"])
     family, family_name = _load_programs(config)
-    report = lab.run_hitting_report(h, family, family_name, args.cap_seeds)
+    report = lab.run_hitting_report(h, family, family_name)
     _write(out_dir, "hitting.json", report.to_json(), config)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -201,11 +200,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="ignored: each family is counted in one pass; kept so old command lines run",
-    )
-    parser.add_argument(
-        "--cap-seeds", type=int, default=DEFAULT_CAP_BITS, dest="cap_seeds",
-        help="refuse to enumerate more than 2**CAP_SEEDS generator seeds (default %(default)s);"
-        " read by gen, verify-fool and verify-hit only, no paca mode enumerates seeds",
     )
     args = parser.parse_args(argv)
     try:

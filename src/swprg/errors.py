@@ -18,7 +18,7 @@ class ConfigurationError(SwprgError):
 
 
 class CapExceeded(SwprgError):
-    """An exhaustive enumeration would exceed the configured cap.
+    """An exhaustive enumeration would exceed the cap, ``DEFAULT_CAP_BITS``.
 
     ``required_bits`` is the enumeration budget (in bits) that would be
     needed to run the refused computation.
@@ -29,6 +29,6 @@ class CapExceeded(SwprgError):
         self.required_bits = required_bits
 
 
-# Every enumeration of more than 2**DEFAULT_CAP_BITS seeds, inputs or family
-# members is refused with CapExceeded unless the caller passes a larger cap.
+# The one enumeration cap: every enumeration of more than 2**DEFAULT_CAP_BITS
+# seeds, coin matrices or family members is refused with CapExceeded.
 DEFAULT_CAP_BITS = 24

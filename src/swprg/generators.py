@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from .bits import BitString, bits_to_int, int_to_bits
@@ -24,19 +24,9 @@ from .primitives import Extractor, HashFamily, extractor_from_json, perfect_extr
 if TYPE_CHECKING:
     import numpy as np
 
-# The seeds an expansion table is filled with at a time, the most outputs in
-# one slice of ``output_runs``, and the most entries of a seed or stream array
-# that a per-seed loop holds as Python ints at once (see :func:`iter_ints`).
+# The seeds an expansion table is filled with at a time, so the most seeds one
+# ``expand_seeds`` call is handed, and the most outputs in one ``output_runs`` slice.
 CHUNK = 1 << 12
-
-
-def iter_ints(array: np.ndarray) -> Iterator[int]:
-    """The entries of a 1-D array as Python ints, converted ``CHUNK`` at a
-    time, so a loop over them holds at most ``CHUNK`` ints, not one per
-    entry."""
-    return chain.from_iterable(
-        array[i : i + CHUNK].tolist() for i in range(0, len(array), CHUNK)
-    )
 
 
 class GeneratorSpec:
@@ -77,9 +67,8 @@ class GeneratorSpec:
     def expand_seeds(self, seeds: np.ndarray) -> np.ndarray:
         """Flat outputs, packed into uint64, of a uint64 array of seeds.
 
-        A node that loops over seeds in Python converts them ``CHUNK`` at a
-        time (:func:`iter_ints`), so it holds at most ``CHUNK`` per-seed
-        Python objects at once whatever the array's length.
+        Callers hand it at most ``CHUNK`` seeds (:func:`_expand_all_cached`,
+        :func:`_expand_part`), so a node may loop over them as Python ints.
         """
         raise NotImplementedError
 
@@ -107,23 +96,23 @@ class GeneratorSpec:
             raise ShapeError(f"seed has {len(seed)} bits, generator expects {self.d}")
         return int_to_bits(self.expand_int(bits_to_int(seed)), self.flat_bits)
 
-    def _check_enumerable(self, cap: int) -> None:
-        if self.d > cap:
+    def _check_enumerable(self) -> None:
+        if self.d > DEFAULT_CAP_BITS:
             raise self._refuse(
-                f"seed enumeration needs 2**{self.d} expansions (cap {cap} bits)",
+                f"seed enumeration needs 2**{self.d} expansions (cap {DEFAULT_CAP_BITS} bits)",
                 self.d,
             )
         self._check_packs()
 
-    def expand_all(self, cap: int = DEFAULT_CAP_BITS) -> np.ndarray:
+    def expand_all(self) -> np.ndarray:
         """Outputs for every seed, as packed uint64, seed order.
 
-        Cached per spec and read-only.
+        Cached per spec and read-only; refused above ``DEFAULT_CAP_BITS`` seed bits.
         """
-        self._check_enumerable(cap)
+        self._check_enumerable()
         return _expand_all_cached(self)
 
-    def output_runs(self, cap: int = DEFAULT_CAP_BITS) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    def output_runs(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """The distinct outputs, packed uint64 in ascending order, and how
         many of the 2**d seeds produce each one, as int64, in slices: each
         slice covers the runs of at least ``CHUNK`` seeds of one sorted copy
@@ -132,7 +121,7 @@ class GeneratorSpec:
         Refuses as :meth:`expand_all` does, when called."""
         import numpy as np
 
-        ordered = np.sort(self.expand_all(cap))
+        ordered = np.sort(self.expand_all())
 
         def runs():
             start = 0
@@ -146,11 +135,11 @@ class GeneratorSpec:
 
         return runs()
 
-    def output_counts(self, cap: int = DEFAULT_CAP_BITS) -> Tuple[np.ndarray, np.ndarray]:
+    def output_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """The slices of :meth:`output_runs`, concatenated."""
         import numpy as np
 
-        values, counts = zip(*self.output_runs(cap))
+        values, counts = zip(*self.output_runs())
         return np.concatenate(values), np.concatenate(counts)
 
     @property
@@ -202,7 +191,7 @@ def _expand_part(child: GeneratorSpec, part: np.ndarray) -> np.ndarray:
     it; a few seeds are expanded directly.
     """
     if len(part) >= min(CHUNK, 1 << child.d):
-        return child.expand_all(cap=child.d)[part]
+        return child.expand_all()[part]
     return child.expand_seeds(part)
 
 
@@ -308,7 +297,7 @@ class NisanBase(GeneratorSpec):
         levels = range(self.levels, 0, -1)
 
         def flats():
-            for seed in iter_ints(seeds):
+            for seed in seeds.tolist():
                 # unrolled from the top level down: level k puts h_k(v) right
                 # after each word v of the level above
                 words = [seed & ((1 << word) - 1)]
@@ -354,13 +343,12 @@ class PairwiseRectangle(GeneratorSpec):
         import numpy as np
 
         h_eval, b = self.hash_family.eval, self.block_bits
-        out = np.zeros(len(seeds), dtype=np.uint64)
-        for start in range(0, len(seeds), CHUNK):
-            chunk = seeds[start : start + CHUNK].tolist()
-            for i in range(self.blocks):
-                # map makes the per-seed eval calls from C, one block at a time
-                block = np.fromiter(map(h_eval, chunk, repeat(i)), np.uint64, count=len(chunk))
-                out[start : start + len(chunk)] |= block << np.uint64(i * b)
+        ints = seeds.tolist()
+        out = np.zeros(len(ints), dtype=np.uint64)
+        for i in range(self.blocks):
+            # map makes the per-seed eval calls from C, one block at a time
+            block = np.fromiter(map(h_eval, ints, repeat(i)), np.uint64, count=len(ints))
+            out |= block << np.uint64(i * b)
         return out
 
 
@@ -418,10 +406,7 @@ class RectCompose(GeneratorSpec):
     r * eps_base + eps_cr: the telescoping product bound plus the
     rectangle generator's own error.  The expansion cuts each block's base
     seeds into one reused array and ORs each block's outputs into the
-    result in place, so it holds four arrays the length of its seeds,
-    ``CHUNK`` of them when :meth:`expand_all` fills its table; its per-seed
-    Python objects are those of the rectangle and base, at most ``CHUNK``
-    at once.
+    result in place, so it holds four arrays the length of its seeds.
     """
 
     kind = "rect_compose"
@@ -506,16 +491,16 @@ class Interleave(GeneratorSpec):
         o2 = _expand_part(self.g2, seeds >> np.uint64(self.g1.d))
         return self._merge(o1, o2)
 
-    def output_runs(self, cap: int = DEFAULT_CAP_BITS) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    def output_runs(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """The product of the halves' counts, built from their distinct
         outputs alone, ``CHUNK`` pairs a slice, g1's output the major index.
         The merge is a bit permutation of (o1, o2), so distinct pairs give
         distinct outputs; they are not in ascending order."""
         import numpy as np
 
-        self._check_enumerable(cap)
-        v1, c1 = self.g1.output_counts(cap)
-        v2, c2 = self.g2.output_counts(cap)
+        self._check_enumerable()
+        v1, c1 = self.g1.output_counts()
+        v2, c2 = self.g2.output_counts()
 
         def runs():
             size = len(v1) * len(v2)

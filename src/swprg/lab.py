@@ -3,8 +3,8 @@ window-program families the budgets are tested against, each family
 counted in one pass (:class:`MaskFamily`).
 
 Everything here enumerates; nothing samples for the verdicts themselves.
-Enumeration costs are guarded by explicit caps and the harness refuses
-(:class:`CapExceeded`) rather than silently truncating.
+Every enumeration is bounded by the one cap, ``DEFAULT_CAP_BITS``, and the
+harness refuses (:class:`CapExceeded`) rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -92,13 +92,13 @@ def _check_class(g, p: LayeredProgram) -> None:
 # --- fooling ---------------------------------------------------------------------
 
 
-def fooling_error(g, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Fraction:
+def fooling_error(g, p: LayeredProgram) -> Fraction:
     """|Pr[p(G(U_d))=1] - Pr[p(U_n)=1]|, exact by full seed enumeration.
 
     For a tuple of programs, one per block, pass ``bp.concat(programs)``.
     """
     _check_width(g, p)
-    accepted = int(batch_evaluate(p, g.expand_all(cap_seeds)).sum())
+    accepted = int(batch_evaluate(p, g.expand_all()).sum())
     return abs(Fraction(accepted, 1 << g.d) - acceptance_probability(p))
 
 
@@ -108,7 +108,7 @@ def fooling_error(g, p: LayeredProgram, cap_seeds: int = DEFAULT_CAP_BITS) -> Fr
 def hitting_check(h, p: LayeredProgram) -> Optional[int]:
     """First seed (in seed order) whose expansion ``p`` accepts, or None."""
     _check_width(h, p)
-    accepted = batch_evaluate(p, h.expand_all(DEFAULT_CAP_BITS))
+    accepted = batch_evaluate(p, h.expand_all())
     idx = np.flatnonzero(accepted)
     return int(idx[0]) if len(idx) else None
 
@@ -223,16 +223,6 @@ class MaskFamily:
                 visits |= bits[i][state]
         np.add.at(hist, visits[alive], mult[alive])
 
-    def accept_counts(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        """How many outputs each program accepts, by mask, as int64 counts,
-        where the output ``values[i]`` (packed) occurs ``mult[i]`` times and
-        ``values`` holds no repeats: what ``g.output_counts()`` returns, or
-        one slice of ``g.output_runs()``.  One histogram of visit sets
-        (:meth:`_add_visits`) and one subset-sum transform."""
-        hist = np.zeros(len(self), dtype=np.int64)
-        self._add_visits(hist, values, mult)
-        return _subset_sums_by_mask(hist)
-
     def uniform_counts(self) -> np.ndarray:
         """How many of the 2**n inputs each program accepts, by mask.
 
@@ -267,13 +257,13 @@ def swbp_family(n: int, t: int, budget_bits: Optional[int] = None) -> MaskFamily
     0..family_size_bits(n, t) with ParameterError, and one over the cap
     with CapExceeded.
     """
+    canonical, _ = canonical_debruijn_swbp(n, t)  # refuses a bad window size first
     positions = _label_positions(n, t)
     k = len(positions) if budget_bits is None else budget_bits
     if type(k) is not int or not 0 <= k <= len(positions):
         raise ParameterError(
             f"budget_bits {budget_bits!r} is not an int in 0..{len(positions)} for n={n} t={t}"
         )
-    canonical, _ = canonical_debruijn_swbp(n, t)
     return MaskFamily(canonical, tuple(positions[:k]))
 
 
@@ -343,7 +333,7 @@ class _Counts:
         raise IndexError(index)
 
 
-def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
+def _count(g, programs: Programs) -> _Counts:
     """Walk ``g``'s distinct outputs once, a slice at a time
     (``g.output_runs``), and count, for every program, the seeds and the
     uniform inputs it accepts.  Each slice adds to every family's histogram
@@ -363,7 +353,7 @@ def _count(g, programs: Programs, cap_seeds: int) -> _Counts:
         _check_class(g, family.base)
     hists = [np.zeros(len(family), dtype=np.int64) for family in families]
     distinct = 0
-    for values, mult in g.output_runs(cap_seeds):
+    for values, mult in g.output_runs():
         distinct += len(values)
         for family, hist in zip(families, hists):
             family._add_visits(hist, values, mult)
@@ -423,13 +413,16 @@ def run_fooling_report(
     programs: Programs,
     eps_budget: Fraction,
     family: str = "family",
-    cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> FoolingReport:
     """Exact fooling error of every program; the worst is the first program
-    with the largest error."""
+    with the largest error.  An ``eps_budget`` that is a bool or below 0 is
+    refused before expanding; one of 1 or more is reported ``vacuous``."""
     start = time.monotonic()
-    report = FoolingReport(g.to_json(), family, eps_budget)
-    counts = _count(g, programs, cap_seeds)
+    eps = Fraction(eps_budget)
+    if type(eps_budget) is bool or eps < 0:
+        raise ParameterError(f"eps_budget must be a number >= 0: {eps_budget!r}")
+    report = FoolingReport(g.to_json(), family, eps)
+    counts = _count(g, programs)
     n, d = g.flat_bits, g.d
     # |a / 2**d - b / 2**n| over the common denominator 2**(n + d)
     diffs = [abs((a << n) - (b << d)) for a, b in zip(counts.seed, counts.uniform)]
@@ -440,7 +433,7 @@ def run_fooling_report(
         report.worst_program = program_to_json(counts.program(worst))
     report.programs_checked = len(diffs)
     report.seeds_enumerated = 1 << g.d
-    report.passed = report.worst_error <= eps_budget
+    report.passed = report.worst_error <= eps
     report.work = counts.work
     report.wall_seconds = time.monotonic() - start
     return report
@@ -477,13 +470,12 @@ def run_hitting_report(
     h,
     programs: Programs,
     family: str = "family",
-    cap_seeds: int = DEFAULT_CAP_BITS,
 ) -> HittingReport:
     """Check the hitting contract family-wide: every program whose exact
     acceptance probability is above the threshold must have a witness seed."""
     start = time.monotonic()
     report = HittingReport(h.to_json(), family, h.eps_budget)
-    counts = _count(h, programs, cap_seeds)
+    counts = _count(h, programs)
     threshold, n = h.eps_budget, h.flat_bits
     for i, (hits, accepted) in enumerate(zip(counts.seed, counts.uniform)):
         # accepted / 2**n > threshold, in integers

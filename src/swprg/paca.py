@@ -22,7 +22,7 @@ from typing import (
     Tuple,
 )
 
-from .errors import CapExceeded, ParameterError, ShapeError
+from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
 
 if TYPE_CHECKING:
     import random
@@ -265,13 +265,13 @@ def exact_accept_probability(c: Paca, x: Sequence[int]) -> Fraction:
 
 
 def accept_probability_bruteforce(c: Paca, x: Sequence[int]) -> Fraction:
-    """Second oracle: enumerate all 2**(T*n) coin matrices, at most 2**22."""
+    """Second oracle: enumerate all 2**(T*n) coin matrices, up to the cap."""
     x = _check_input(c, x)
     n, T = len(x), c.time_bound
     total_bits = T * n
-    if total_bits > 22:
+    if total_bits > DEFAULT_CAP_BITS:
         raise CapExceeded(
-            f"matrix enumeration needs 2**{total_bits} runs (cap 22)",
+            f"matrix enumeration needs 2**{total_bits} runs (cap {DEFAULT_CAP_BITS} bits)",
             total_bits,
         )
     count = 0

@@ -218,7 +218,7 @@ def _shift_start_families(budget_bits):
 
 
 def _worst_error(g, programs):
-    return run_fooling_report(g, programs, Fraction(0), cap_seeds=g.d).worst_error
+    return run_fooling_report(g, programs, Fraction(0)).worst_error
 
 
 def test_criterion_5_lemma_constants():
@@ -246,15 +246,13 @@ def test_criterion_5_lemma_constants():
     # (b) two inw levels (d = 20): 4-tuples <= 3**2 * eps_hat
     st2 = inw_stretch(st1, perfect_extractor(st1.d))
     quad_family = swbp_family(4, 2, budget_bits=3)
-    quads = run_fooling_report(
-        st2, concat_families([quad_family] * 4), 9 * eps_hat, cap_seeds=st2.d
-    )
+    quads = run_fooling_report(st2, concat_families([quad_family] * 4), 9 * eps_hat)
     worst_quad = quads.worst_error
     ok &= worst_quad <= 9 * eps_hat
     lines.append(f"inw r=2 simultaneous {worst_quad} <= {9 * eps_hat}")
     # spot-check the family count against the library oracle: member 1 of
     # every block is program 0b001001001001 of the tuple family
-    spot = fooling_error(st2, concat([quad_family.program(1)] * 4), cap_seeds=st2.d)
+    spot = fooling_error(st2, concat([quad_family.program(1)] * 4))
     assert quads.rows[0b001001001001] == (0b001001001001, str(spot))
 
     # (c) rect_compose at r in {2, 4}: <= r * eps_hat + eps_cr

@@ -342,6 +342,20 @@ def test_bad_parameters():
         LayeredProgram(1, 1, 0, (((0, 1),),), (frozenset({0}),))
 
 
+def test_window_size_must_be_an_int_in_range():
+    # True used to be read as window 1 and 2.0 raised a raw TypeError
+    p, _ = canonical_debruijn_swbp(4, 2)
+    for t in (True, False, 2.0, 0, 5, "2", None):
+        for check in (
+            lambda: check_window(p, t),
+            lambda: build_certificate(p, t),
+            lambda: canonical_debruijn_swbp(4, t),
+        ):
+            with pytest.raises(ParameterError, match="window size"):
+                check()
+    assert isinstance(check_window(p, 4), WindowCertificate)
+
+
 def test_states_must_be_ints():
     # a 1.5 used to load: batch_evaluate's int64 table read it as 1 while
     # the uniform DP read it as a rejecting state, so fooling errors were wrong

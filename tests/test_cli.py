@@ -89,13 +89,15 @@ def test_config_hash_falls_back_to_hashlib(tmp_path, monkeypatch):
         importlib.reload(cli)
 
 
-def test_gen_cap_refusal(tmp_path):
-    g = generators.base_exhaustive(12)
-    code, _ = run(
-        tmp_path, "gen", {"generator": g.to_json(), "dump": True},
-        extra=["--cap-seeds", "8"],
-    )
+def test_gen_cap_refusal(tmp_path, capsys):
+    g = generators.base_exhaustive(25)
+    code, out = run(tmp_path, "gen", {"generator": g.to_json(), "dump": True})
     assert code == EXIT_CAP
+    assert (
+        "refused: exhaustive_rect: seed enumeration needs 2**25 expansions (cap 24 bits)"
+        " (required bits: 25)" in capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_verify_fool_family_budget_over_cap(tmp_path):
@@ -125,22 +127,24 @@ def test_verify_fool_family_budget_out_of_range(tmp_path, budget_bits):
     ids=["verify-fool", "verify-hit"],
 )
 def test_verify_refuses_interleave_over_cap_or_packing(tmp_path, capsys, command, key, wrap):
+    half = generators.ExhaustiveRectangle(13, 1)  # 1-bit blocks: window 1, cheap to check
     cases = [
-        # each 5-bit half fits the 8-bit cap; the 10-bit product does not
-        (generators.interleave(generators.base_exhaustive(5), generators.base_exhaustive(5)),
-         4, ["--cap-seeds", "8"], "seed enumeration needs 2**10 expansions (cap 8 bits)"),
+        (generators.base_exhaustive(25), 1,
+         "exhaustive_rect: seed enumeration needs 2**25 expansions (cap 24 bits)", 25),
+        # each 13-bit half fits the cap; the 26-bit product does not
+        (generators.interleave(half, half), 1,
+         "interleave: seed enumeration needs 2**26 expansions (cap 24 bits)", 26),
         (generators.interleave(generators.PairwiseRectangle(16, 2),
                                generators.PairwiseRectangle(16, 2)),
-         2, [], "flat output of 64 bits does not pack into uint64"),
+         2, "interleave: flat output of 64 bits does not pack into uint64", 64),
     ]
-    for g, bits, extra, message in cases:
+    for g, bits, message, required in cases:
         config = {key: wrap(g),
                   "family": {"n": g.flat_bits, "t": bits, "budget_bits": 2}}
-        code, out = run(tmp_path, command, config, extra=extra)
+        code, out = run(tmp_path, command, config)
         assert code == EXIT_CAP
-        err = capsys.readouterr().err
-        assert message in err
-        assert f"interleave: {message}" in err  # the refusal names the node
+        # the refusal names the node, and the bits it needs
+        assert f"refused: {message} (required bits: {required})" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -546,18 +550,6 @@ def test_no_command_loads_openssl(tmp_path):
     assert "_hashlib" not in after
 
 
-def test_cap_seeds_help_names_the_commands_it_bounds(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
-    assert (
-        "--cap-seeds CAP_SEEDS refuse to enumerate more than 2**CAP_SEEDS generator seeds"
-        " (default 24); read by gen, verify-fool and verify-hit only, no paca mode"
-        " enumerates seeds" in text
-    )
-
-
 def test_readme_config_examples_run(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     examples = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
@@ -596,3 +588,38 @@ def test_malformed_config_value_exit_code(tmp_path, command, config):
     code, out = run(tmp_path, command, config)
     assert code == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t", [True, 2.0, 0], ids=["true", "float", "zero"])
+def test_window_size_that_is_not_an_int_is_a_bad_config(tmp_path, t):
+    # true was read as window 1: window-check exited 1 with a violation, and
+    # verify-fool exited 0 over a family it named "canonical n=4 t=True"
+    p, _ = bp.canonical_debruijn_swbp(4, 2)
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(json.dumps(bp.program_to_json(p)))
+    configs = [
+        ("window-check", {"program": str(prog_path), "t": t}),
+        ("verify-fool", {"generator": {"kind": "exhaustive", "t": 4},
+                         "family": {"n": 4, "t": t, "budget_bits": 2}}),
+    ]
+    for command, config in configs:
+        code, out = run(tmp_path, command, config)
+        assert code == EXIT_CONFIG, command
+        assert not out.exists()
+
+
+def test_verify_fool_refuses_a_bool_or_negative_budget(tmp_path, capsys):
+    config = {"generator": {"kind": "exhaustive", "t": 4},
+              "family": {"n": 4, "t": 2, "budget_bits": 2}}
+    for eps in ("-1/2", -1, True, False):
+        code, out = run(tmp_path, "verify-fool", {**config, "eps_budget": eps})
+        assert code == EXIT_CONFIG, eps
+        assert "eps_budget must be a number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+    # a budget of 1 or more stays legal, and is reported vacuous
+    for eps in ("1", "3/2", 2):
+        code, out = run(tmp_path, "verify-fool", {**config, "eps_budget": eps})
+        payload = json.loads((out / "fooling.json").read_text())
+        assert (code, payload["eps_budget"], payload["vacuous"]) == (
+            EXIT_PASS, str(Fraction(eps)), True
+        )

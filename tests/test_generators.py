@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from swprg.generators import (
     with_measured_error,
 )
 from swprg.hsg import hsg_from_json
+from swprg.paca import sample_paca, step_vector_counts
 from swprg.primitives import (
     HashFamily, aghp_set, cayley_extractor, cayley_extractor_from_set, perfect_extractor,
 )
@@ -404,23 +406,22 @@ def test_output_counts_match_unique_of_expand_all():
 
 def test_output_counts_refuse_as_expand_all_does():
     half = PairwiseRectangle(16, 2)  # d = 10; two halves emit 64 bits, too many to pack
-    product = interleave(base_exhaustive(5), base_exhaustive(5))
-    for g, caps in (
-        (base_exhaustive(10), (8,)),
-        (product, (8,)),  # each half fits the cap, the product does not
-        (interleave(half, half), (8, 24)),
+    product = interleave(ExhaustiveRectangle(13, 1), ExhaustiveRectangle(13, 1))
+    for g, bits in (
+        (base_exhaustive(25), 25),
+        (product, 26),  # each half fits the cap, the product does not
+        (interleave(half, half), 64),
     ):
-        for cap in caps:
-            with pytest.raises(CapExceeded) as want:
-                g.expand_all(cap=cap)
-            with pytest.raises(CapExceeded) as got:
-                g.output_counts(cap=cap)
-            with pytest.raises(CapExceeded) as runs:
-                g.output_runs(cap=cap)  # when called, before a slice is asked for
-            for refusal in (got, runs):
-                assert (str(refusal.value), refusal.value.required_bits) == (
-                    str(want.value), want.value.required_bits
-                )
+        with pytest.raises(CapExceeded) as want:
+            g.expand_all()
+        with pytest.raises(CapExceeded) as got:
+            g.output_counts()
+        with pytest.raises(CapExceeded) as runs:
+            g.output_runs()  # when called, before a slice is asked for
+        for refusal in (want, got, runs):
+            assert (str(refusal.value), refusal.value.required_bits) == (
+                str(want.value), bits
+            )
 
 
 @dataclass(frozen=True)
@@ -503,6 +504,42 @@ def test_child_seeds_are_expanded_once_per_enumeration():
     ]
 
 
+def test_expand_seeds_is_never_handed_more_than_chunk_seeds(monkeypatch):
+    # the callers slice the seeds (the table fill and _expand_part), so no node
+    # slices them again; every node class records the most seeds it is handed
+    most = {}
+    for cls in NODES.values():
+        def recorded(self, seeds, expand=cls.expand_seeds):
+            most[self.kind] = max(most.get(self.kind, 0), len(seeds))
+            return expand(self, seeds)
+
+        monkeypatch.setattr(cls, "expand_seeds", recorded)
+    inner = ExhaustiveRectangle(13, 1)  # 2**13 seeds: two slices of its table
+    stretched = inw_stretch(inner, cayley_extractor_from_set(13, 1, aghp_set(13, 1)))
+    composed = rect_compose(base_exhaustive(1), PairwiseRectangle(26, 1))
+    tree = interleave(stretched, composed)
+    assert (tree.d, tree.flat_bits) == (21, 52)
+    rng = random.Random(31)
+    c = sample_paca(rng, 2, 2)
+    x = tuple(rng.choice(c.sigma) for _ in range(11))  # (n + T) * T = 26 coin bits
+    every = {"interleave", "inw", "rect_compose", "pairwise_rect", "exhaustive_rect"}
+    drives = [
+        (tree.expand_all, every, CHUNK),
+        # the interleave counts its halves' outputs, expanding neither itself
+        (lambda: list(tree.output_runs()), every - {"interleave"}, CHUNK),
+        (lambda: [tree.expand_int(s) for s in (0, 12345, (1 << tree.d) - 1)], every, 1),
+        (lambda: step_vector_counts(c, x, stretched), {"inw", "exhaustive_rect"}, CHUNK),
+    ]
+    try:
+        for drive, kinds, largest in drives:
+            _expand_all_cached.cache_clear()  # expand every node again
+            most.clear()
+            drive()
+            assert set(most) == kinds and max(most.values()) == largest, most
+    finally:
+        _expand_all_cached.cache_clear()
+
+
 def test_expand_all_cache_is_read_only():
     outs = interleave(base_exhaustive(3), base_exhaustive(3)).expand_all()
     with pytest.raises(ValueError):
@@ -511,10 +548,11 @@ def test_expand_all_cache_is_read_only():
 
 
 def test_expand_all_cap_refusal():
-    g = base_exhaustive(10)
-    with pytest.raises(CapExceeded) as exc:
-        g.expand_all(cap=8)
-    assert exc.value.required_bits == 10
+    g = base_exhaustive(25)
+    with pytest.raises(CapExceeded, match=r"2\*\*25 expansions \(cap 24 bits\)") as exc:
+        g.expand_all()
+    assert exc.value.required_bits == 25
+    base_exhaustive(24)._check_enumerable()  # the cap itself is allowed
 
 
 def test_build_swbp_prg_shapes():

@@ -38,6 +38,8 @@ from swprg.hsg import hsg_exhaustive
 from swprg.primitives import perfect_extractor
 from swprg.lab import (
     MaskFamily,
+    _count,
+    _subset_sums_by_mask,
     batch_evaluate,
     concat_families,
     enumerate_swbp_family,
@@ -81,14 +83,14 @@ class ConstantGen:
         self.d, self.blocks, self.block_bits = 0, 1, n
         self.flat_bits, self.seeds_expanded = n, 1
 
-    def expand_all(self, cap=24):
+    def expand_all(self):
         return np.array([self.value], dtype=np.uint64)
 
-    def output_counts(self, cap=24):
-        return np.unique(self.expand_all(cap), return_counts=True)
+    def output_counts(self):
+        return np.unique(self.expand_all(), return_counts=True)
 
-    def output_runs(self, cap=24):
-        yield self.output_counts(cap)
+    def output_runs(self):
+        yield self.output_counts()
 
     def expand_int(self, seed):
         return self.value
@@ -105,14 +107,14 @@ class TableGen:
         self.d, self.flat_bits = len(outputs).bit_length() - 1, n
         self.seeds_expanded, self.eps_budget = len(outputs), threshold
 
-    def expand_all(self, cap=24):
+    def expand_all(self):
         return self.outputs
 
-    def output_counts(self, cap=24):
-        return np.unique(self.expand_all(cap), return_counts=True)
+    def output_counts(self):
+        return np.unique(self.expand_all(), return_counts=True)
 
-    def output_runs(self, cap=24):
-        yield self.output_counts(cap)
+    def output_runs(self):
+        yield self.output_counts()
 
     def to_json(self):
         return {"kind": "table", "outputs": self.outputs.tolist()}
@@ -184,14 +186,14 @@ def test_simultaneous_duplicated_block():
     class DupGen:
         d, blocks, block_bits, flat_bits = 1, 2, 1, 2
 
-        def expand_all(self, cap=24):
+        def expand_all(self):
             return np.array([0b00, 0b11], dtype=np.uint64)
 
-        def output_counts(self, cap=24):
-            return np.unique(self.expand_all(cap), return_counts=True)
+        def output_counts(self):
+            return np.unique(self.expand_all(), return_counts=True)
 
-        def output_runs(self, cap=24):
-            yield self.output_counts(cap)
+        def output_runs(self):
+            yield self.output_counts()
 
         def expand_int(self, seed):
             return 0b11 * seed
@@ -255,6 +257,30 @@ def test_family_budget_out_of_range_refused():
     # a bool is not a budget: True used to build the k = 1 family
     with pytest.raises(ParameterError):
         swbp_family(4, 2, True)
+
+
+def test_family_refuses_a_window_size_that_is_not_an_int():
+    for t in (True, 2.0, 0, 5):
+        with pytest.raises(ParameterError, match="window size"):
+            swbp_family(4, t, 2)
+
+
+def test_fooling_report_refuses_a_bool_or_negative_budget():
+    # refused before expanding: this generator is over the cap
+    over = base_exhaustive(DEFAULT_CAP_BITS + 1)
+    fam = swbp_family(over.flat_bits, 1, 2)
+    for eps in (Fraction(-1, 2), -1, "-1/2", True, False):
+        with pytest.raises(ParameterError, match="eps_budget"):
+            run_fooling_report(over, fam, eps)
+    with pytest.raises(CapExceeded):
+        run_fooling_report(over, fam, Fraction(0))
+    # a budget of 1 or more is legal, and vacuous
+    g = base_nisan(4, 4, Fraction(1, 4))
+    for eps in (1, "3/2", Fraction(1)):
+        report = run_fooling_report(g, swbp_family(4, 2, 3), eps).to_json()
+        assert (report["eps_budget"], report["passed"], report["vacuous"]) == (
+            str(Fraction(eps)), True, True
+        )
 
 
 def test_family_refuses_a_mask_outside_it():
@@ -493,7 +519,7 @@ def test_family_counts_match_per_program_oracles():
         n = fam.base.n
         g = TableGen([rng.randrange(1 << n) for _ in range(4)], n, Fraction(1, 4))
         outputs = g.expand_all()
-        seed, uniform = fam.accept_counts(*g.output_counts()), fam.uniform_counts()
+        seed, uniform = _count(g, fam).seed, fam.uniform_counts()
         programs = [fam.program(i) for i in range(len(fam))]
         required, missed = 0, []
         for i, p in enumerate(programs):
@@ -544,6 +570,15 @@ def test_uniform_counts_without_input_enumeration():
     assert report.rows == [(i, str(fooling_error(g, fam.program(i)))) for i in range(len(fam))]
 
 
+def accept_counts(fam, values, mult):
+    """Each program's count of the outputs it accepts, ``values[i]`` counted
+    ``mult[i]`` times: the visit histogram and transform that ``_count``
+    makes per slice and per family."""
+    hist = np.zeros(len(fam), dtype=np.int64)
+    fam._add_visits(hist, values, mult)
+    return _subset_sums_by_mask(hist)
+
+
 def test_accept_counts_weigh_repeated_outputs():
     rng = random.Random(64)
     blocks = [swbp_family(3, 2, 3), swbp_family(3, 2, 2)]
@@ -552,14 +587,14 @@ def test_accept_counts_weigh_repeated_outputs():
         outputs = np.array([rng.choice(values) for _ in range(64)], dtype=np.uint64)
         distinct, mult = np.unique(outputs, return_counts=True)
         assert len(set(mult.tolist())) > 1
-        counts = fam.accept_counts(distinct, mult)
+        counts = accept_counts(fam, distinct, mult)
         assert np.issubdtype(counts.dtype, np.integer)
         assert counts[0] == batch_evaluate(fam.base, outputs).sum() > len(values)
         for mask in range(len(fam)):
             assert counts[mask] == batch_evaluate(fam.program(mask), outputs).sum()
         for _ in range(3):
             order = rng.sample(range(len(distinct)), len(distinct))
-            assert fam.accept_counts(distinct[order], mult[order]).tolist() == counts.tolist()
+            assert accept_counts(fam, distinct[order], mult[order]).tolist() == counts.tolist()
         g = TableGen(outputs, 6)
         report = run_fooling_report(g, fam, Fraction(0))
         errors = [fooling_error(g, fam.program(mask)) for mask in range(len(fam))]
