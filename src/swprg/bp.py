@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .bits import BitString
 from .errors import ParameterError, ShapeError
@@ -34,15 +34,27 @@ class LayeredProgram:
     acc: Tuple[frozenset, ...]
 
     def __post_init__(self):
-        if not (type(self.n) is type(self.w) is int and self.n >= 1 and self.w >= 1):
+        w = self.w
+        if not (type(self.n) is type(w) is int and self.n >= 1 and w >= 1):
             raise ParameterError("length and width must be positive ints")
-        if type(self.q0) is not int or not 0 <= self.q0 < self.w:
+        if type(self.q0) is not int or not 0 <= self.q0 < w:
             raise ParameterError("initial state out of range")
-        if not (isinstance(self.acc, tuple) and len(self.trans) == len(self.acc) == self.n):
+        if not (isinstance(self.trans, tuple) and isinstance(self.acc, tuple)
+                and len(self.trans) == len(self.acc) == self.n):
             raise ParameterError("need tuples of one transition table and accepting set per layer")
-        for i, part in enumerate((self.trans, *self.acc)):
-            if _CHECKED.get((self.w, i, id(part))) is not part:
-                _check_part(self.w, i, part)
+        for layer, table in enumerate(self.trans, 1):
+            if len(table) != w:
+                raise ParameterError(f"layer {layer} table has wrong size")
+            try:
+                hash(table)
+                for on0, on1 in table:
+                    if not (type(on0) is type(on1) is int and 0 <= on0 < w and 0 <= on1 < w):
+                        raise ParameterError(f"layer {layer} transition leaves the state set")
+            except (TypeError, ValueError):
+                raise ParameterError(f"layer {layer} transition is not a pair of states") from None
+        for layer, a in enumerate(self.acc, 1):
+            if not (isinstance(a, frozenset) and all(type(q) is int and 0 <= q < w for q in a)):
+                raise ParameterError(f"layer {layer} accepting set leaves the state set")
 
     def run_word(self, layer: int, q: int, word: Sequence[int]) -> int:
         """Extended transition: feed ``word`` starting at layer ``layer + 1``,
@@ -57,41 +69,9 @@ class LayeredProgram:
         for i in range(self.n):
             nxt = set()
             for q in sets[-1]:
-                nxt.add(self.trans[i][q][0])
-                nxt.add(self.trans[i][q][1])
+                nxt.update(self.trans[i][q])
             sets.append(frozenset(nxt))
         return tuple(sets)
-
-
-# Parts that passed _check_part, by (width, part index, id): the object, not
-# its value, as an equal part may hold 1.0 or True for 1.  Held parts cannot
-# change and their ids are not reused; family members, which share most parts
-# with their base, pay a lookup per part.  Emptied once 256 are held.
-_CHECKED: Dict[Tuple[int, int, int], object] = {}
-
-
-def _check_part(w: int, i: int, part) -> None:
-    """Refuse part ``i`` of a width-``w`` program, the transition tables
-    (``i == 0``) or layer i's accepting set, unless it holds only int
-    states below ``w``; hold it in ``_CHECKED`` if it passes."""
-    if i == 0:
-        if not isinstance(part, tuple):
-            raise ParameterError("transition tables must be a tuple")
-        for layer, table in enumerate(part, 1):
-            if len(table) != w:
-                raise ParameterError(f"layer {layer} table has wrong size")
-            try:
-                hash(table)
-                for on0, on1 in table:
-                    if not (type(on0) is type(on1) is int and 0 <= on0 < w and 0 <= on1 < w):
-                        raise ParameterError(f"layer {layer} transition leaves the state set")
-            except (TypeError, ValueError):
-                raise ParameterError(f"layer {layer} transition is not a pair of states") from None
-    elif not (isinstance(part, frozenset) and all(type(q) is int and 0 <= q < w for q in part)):
-        raise ParameterError(f"layer {i} accepting set leaves the state set")
-    if len(_CHECKED) >= 256:
-        _CHECKED.clear()
-    _CHECKED[w, i, id(part)] = part
 
 
 def evaluate(p: LayeredProgram, x: Sequence[int]) -> bool:
@@ -347,11 +327,9 @@ def pad_program(p: LayeredProgram, n_target: int) -> LayeredProgram:
     """Extend with always-accepting identity layers that ignore their bits."""
     if n_target < p.n:
         raise ParameterError("target length shorter than program")
-    ident = tuple((q, q) for q in range(p.w))
     extra = n_target - p.n
-    trans = p.trans + tuple(ident for _ in range(extra))
-    full = frozenset(range(p.w))
-    acc = p.acc + tuple(full for _ in range(extra))
+    trans = p.trans + (tuple((q, q) for q in range(p.w)),) * extra
+    acc = p.acc + (frozenset(range(p.w)),) * extra
     return LayeredProgram(n_target, p.w, p.q0, trans, acc)
 
 

@@ -22,7 +22,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -91,8 +90,7 @@ def cmd_gen(config: dict, out_dir: Path, args) -> int:
         "eps_budget": str(g.eps_budget),
     }
     if config.get("dump", False):
-        outs = g.expand_all()
-        payload["expansion"] = [int(v) for v in outs]
+        payload["expansion"] = g.expand_all().tolist()
     _write(out_dir, "generator.json", payload, config)
     return EXIT_PASS
 
@@ -166,7 +164,7 @@ def cmd_paca(config: dict, out_dir: Path, args) -> int:
         prob = paca.exact_accept_probability(c, x)
         _write(out_dir, "paca.json", {"mode": "exact", "probability": str(prob)}, config)
         return EXIT_PASS
-    eps = Fraction(config.get("eps", "1/4"))
+    eps = config.get("eps", "1/4")
     # no builder: every coin matrix once, counted by the window sweep DP
     if mode == "derand1":
         decision = paca.derandomize_one_sided(c, x, eps, None)

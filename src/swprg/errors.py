@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config readers that raise them."""
+
+from fractions import Fraction
 
 
 class SwprgError(Exception):
@@ -32,3 +34,22 @@ class CapExceeded(SwprgError):
 # The one enumeration cap: every enumeration of more than 2**DEFAULT_CAP_BITS
 # seeds, coin matrices or family members is refused with CapExceeded.
 DEFAULT_CAP_BITS = 24
+
+
+def read_fraction(value, name: str, rule: str = "an int or a fraction string") -> Fraction:
+    """``value``, the config entry ``name``, as a Fraction: a Fraction, an int (a bool
+    is not) or a string such as "1/10".  Anything else, a float too, whose binary
+    value is not the decimal it spells, is refused: ``name`` must be ``rule``."""
+    if type(value) is not bool and isinstance(value, (int, str, Fraction)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParameterError(f"{name} must be {rule}: {value!r}")
+
+
+def refuse_unknown_keys(data: dict, known, what: str) -> None:
+    """Refuse a key of ``data`` not in ``known``, so a misspelt field is not read as left out."""
+    unknown = sorted(data.keys() - set(known))
+    if unknown:
+        raise ParameterError(f"{what} has no field {unknown[0]!r}")

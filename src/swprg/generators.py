@@ -18,7 +18,9 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from .bits import BitString, bits_to_int, int_to_bits
-from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
+from .errors import (
+    DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError, read_fraction, refuse_unknown_keys,
+)
 from .primitives import Extractor, HashFamily, extractor_from_json, perfect_extractor
 
 if TYPE_CHECKING:
@@ -163,9 +165,11 @@ class GeneratorSpec:
     @classmethod
     def from_json(cls, data: dict) -> GeneratorSpec:
         """The node whose :meth:`to_json` is ``data``: each field read by its
-        declared type; a field left out takes its default."""
-        read = {f.name: _FIELD_READERS.get(f.type, lambda value: value) for f in fields(cls)}
-        return cls(**{name: read[name](data[name]) for name in read if name in data})
+        declared type; a field left out takes its default, and a key that is
+        not a field is refused (:class:`ParameterError`)."""
+        read = {f.name: _FIELD_READERS.get(f.type, lambda value, name: value) for f in fields(cls)}
+        refuse_unknown_keys(data, {"kind", *read}, f"a {cls.kind} node")
+        return cls(**{name: read[name](data[name], name) for name in read if name in data})
 
 
 @lru_cache(maxsize=128)
@@ -574,17 +578,18 @@ def generator_from_json(data: dict) -> GeneratorSpec:
     ``{"kind": "exhaustive", "t": t}`` is the one-block :class:`Exhaustive`."""
     kind = data["kind"]
     if kind == "exhaustive":
+        refuse_unknown_keys(data, ("kind", "t"), "an exhaustive node")
         return Exhaustive(1, data["t"])
     if kind not in NODES:
         raise ParameterError(f"unknown generator kind {kind!r}")
     return NODES[kind].from_json(data)
 
 
-# A field's JSON reader by its declared type, the annotation's text (annotations are
-# strings here, see ``from __future__``); a field of any other type is read as it is.
+# A field's JSON reader, called with its value and name, by its declared type, the annotation's
+# text (strings here, see ``from __future__``); a field of any other type is read as it is.
 _FIELD_READERS = {
-    "Fraction": Fraction,
-    "Optional[Fraction]": Fraction,
-    "GeneratorSpec": generator_from_json,
-    "Extractor": extractor_from_json,
+    "Fraction": read_fraction,
+    "Optional[Fraction]": read_fraction,
+    "GeneratorSpec": lambda data, name: generator_from_json(data),
+    "Extractor": lambda data, name: extractor_from_json(data),
 }

@@ -9,10 +9,9 @@ this module keeps the HSG names of the pipelines and reads the HSG configs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, read_fraction
 from .generators import (
     GeneratorSpec,
     Interleave,
@@ -39,13 +38,13 @@ CARRIERS = {"prg_as_hsg": GeneratorSpec, "hsg_rect": RectCompose, "hsg_interleav
 
 def hsg_from_json(data: dict) -> GeneratorSpec:
     """The generator an HSG config ``{"kind", "carrier", "threshold"}``
-    carries.  A kind that no such class carries is refused with
-    :class:`ParameterError`, a threshold other than the carrier's budget
-    with :class:`ConfigurationError`."""
+    carries.  A kind that no such class carries, or a threshold that is not an
+    int or a fraction string, is refused with :class:`ParameterError`, a
+    threshold other than the carrier's budget with :class:`ConfigurationError`."""
     kind, carrier = data["kind"], generator_from_json(data["carrier"])
     if not isinstance(carrier, CARRIERS.get(kind, ())):
         raise ParameterError(f"HSG kind {kind!r} cannot be carried by a {carrier.kind!r} node")
-    if Fraction(data["threshold"]) != carrier.eps_budget:
+    if read_fraction(data["threshold"], "threshold") != carrier.eps_budget:
         raise ConfigurationError(
             f"threshold {data['threshold']} is not {carrier.eps_budget}, "
             f"the budget of its {carrier.kind} carrier"

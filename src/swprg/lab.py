@@ -28,17 +28,17 @@ from .bp import (
     quotient_swbp,
     relabel,
 )
-from .errors import DEFAULT_CAP_BITS, CapExceeded, ConfigurationError, ParameterError, ShapeError
+from .errors import (
+    DEFAULT_CAP_BITS, CapExceeded, ConfigurationError, ParameterError, ShapeError, read_fraction,
+)
 
 
 def program_tables(p: LayeredProgram) -> Tuple[np.ndarray, np.ndarray]:
     """Dense (n, w, 2) transition and (n, w) acceptance arrays."""
-    trans = np.array(p.trans, dtype=np.int64)
     acc = np.zeros((p.n, p.w), dtype=bool)
     for i, a in enumerate(p.acc):
-        for q in a:
-            acc[i, q] = True
-    return trans, acc
+        acc[i, list(a)] = True
+    return np.array(p.trans, dtype=np.int64), acc
 
 
 def _states(
@@ -163,19 +163,24 @@ class MaskFamily:
     positions: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        bits = [0] * self.base.n
+        if not isinstance(self.base, LayeredProgram):
+            raise ParameterError("a family's base must be a LayeredProgram")
+        # [i][q]: the bits of the toggle positions at layer i + 1, state q
+        visits = [[0] * self.base.w for _ in range(self.base.n)]
         for j, (layer, state) in enumerate(self.positions):
             if not (type(layer) is type(state) is int
                     and 1 <= layer <= self.base.n and 0 <= state < self.base.w):
                 raise ParameterError(f"toggle position {(layer, state)} outside the program")
-            bits[layer - 1] |= 1 << j
-        # (layer index, mask bits of its positions, sets built so far by those
-        # bits) for each layer with toggle positions; see program()
-        object.__setattr__(self, "_layer_sets", [(i, b, {}) for i, b in enumerate(bits) if b])
+            visits[layer - 1][state] |= 1 << j
         if self.k > DEFAULT_CAP_BITS:
             raise CapExceeded(
                 f"family has 2**{self.k} labelings (cap {DEFAULT_CAP_BITS} bits)", self.k
             )
+        # (layer index, mask bits of its positions, sets built so far by those bits) per
+        # layer with toggle positions, see program(); a row's sum is the OR of its bits
+        layer_sets = [(i, sum(row), {}) for i, row in enumerate(visits) if any(row)]
+        tables = (*program_tables(self.base), np.array(visits, dtype=np.int64))
+        vars(self).update(_visits=visits, _layer_sets=layer_sets, _tables=tables)
 
     @property
     def k(self) -> int:
@@ -187,34 +192,28 @@ class MaskFamily:
     def program(self, mask: int) -> LayeredProgram:
         """Program ``mask``: the base's accepting sets, but at each layer
         with toggle positions the set for that layer's bits of ``mask``,
-        built the first time those bits are asked for.  Refuses a mask
-        outside 0..len(self) - 1 with IndexError."""
-        if not 0 <= mask < 1 << len(self.positions):
+        built the first time those bits are asked for.  Refuses a mask that
+        is not an int (a bool is not) in 0..len(self) - 1 with IndexError."""
+        if type(mask) is not int or not 0 <= mask < len(self):
             raise IndexError(mask)
         acc = list(self.base.acc)
         for i, bits, sets in self._layer_sets:
             sub = mask & bits
-            a = sets.get(sub)
-            if a is None:
-                drop = {s for j, (_, s) in enumerate(self.positions) if sub >> j & 1}
-                a = sets[sub] = acc[i] - drop
-            acc[i] = a
-        p = self.base
-        return LayeredProgram(p.n, p.w, p.q0, p.trans, tuple(acc))
-
-    def _visit_bits(self) -> List[List[int]]:
-        """``[i][q]``: the bits of the toggle positions at layer i + 1, state q."""
-        bits = [[0] * self.base.w for _ in range(self.base.n)]
-        for j, (layer, state) in enumerate(self.positions):
-            bits[layer - 1][state] |= 1 << j
-        return bits
+            if sub not in sets:
+                sets[sub] = acc[i] - {s for j, (_, s) in enumerate(self.positions) if sub >> j & 1}
+            acc[i] = sets[sub]
+        # Built without LayeredProgram's part checks, which the base passed:
+        # the member shares the base's fields but for its accepting sets,
+        # each the base's set or a frozenset of some of its states.
+        member = object.__new__(LayeredProgram)
+        vars(member).update(vars(self.base), acc=tuple(acc))
+        return member
 
     def _add_visits(self, hist: np.ndarray, values: np.ndarray, mult: np.ndarray) -> None:
         """Add ``mult[i]`` to ``hist[v]`` for each output ``values[i]``
         (packed) that the base accepts, v the set of toggle positions it
         visits; ``hist`` is an int64 array of ``len(self)`` entries."""
-        trans, acc = program_tables(self.base)
-        bits = np.array(self._visit_bits(), dtype=np.int64)
+        trans, acc, bits = self._tables
         alive = np.ones(len(values), dtype=bool)
         visits = np.zeros(len(values), dtype=np.int64)
         for i, state in _states(self.base, trans, values):
@@ -230,7 +229,7 @@ class MaskFamily:
         visit set) pairs, so its cost grows with the pairs that occur, not
         with 2**n.  Counts that may not fit int64 (n >= 63) are Python ints.
         """
-        p, bits = self.base, self._visit_bits()
+        p, bits = self.base, self._visits
         counts = {(p.q0, 0): 1}
         for i in range(p.n):
             nxt: Dict[Tuple[int, int], int] = {}
@@ -306,9 +305,7 @@ def sample_swbp(rng: random.Random, n: int, t: int) -> LayeredProgram:
             cut = rng.randint(2, max(2, len(states)))
             groups.append(states[:cut])
         merge.append(groups)
-    q = quotient_swbp(canonical, merge)
-    labeled = relabel(q, lambda layer, state: rng.random() < 0.8)
-    return labeled
+    return relabel(quotient_swbp(canonical, merge), lambda layer, state: rng.random() < 0.8)
 
 
 # --- reports ----------------------------------------------------------------------
@@ -415,11 +412,12 @@ def run_fooling_report(
     family: str = "family",
 ) -> FoolingReport:
     """Exact fooling error of every program; the worst is the first program
-    with the largest error.  An ``eps_budget`` that is a bool or below 0 is
-    refused before expanding; one of 1 or more is reported ``vacuous``."""
+    with the largest error.  An ``eps_budget`` below 0 or not read by
+    :func:`read_fraction` (a bool or a float) is refused before expanding;
+    one of 1 or more is reported ``vacuous``."""
     start = time.monotonic()
-    eps = Fraction(eps_budget)
-    if type(eps_budget) is bool or eps < 0:
+    eps = read_fraction(eps_budget, "eps_budget", "a number >= 0 (an int or a fraction string)")
+    if eps < 0:
         raise ParameterError(f"eps_budget must be a number >= 0: {eps_budget!r}")
     report = FoolingReport(g.to_json(), family, eps)
     counts = _count(g, programs)

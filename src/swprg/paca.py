@@ -22,7 +22,7 @@ from typing import (
     Tuple,
 )
 
-from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError
+from .errors import DEFAULT_CAP_BITS, CapExceeded, ParameterError, ShapeError, read_fraction
 
 if TYPE_CHECKING:
     import random
@@ -374,12 +374,9 @@ Builder = Callable[[int, Fraction], object]
 
 
 def _check_eps(eps) -> Fraction:
-    """``eps`` as a Fraction; refuses it with ParameterError unless it is a
-    number strictly between 0 and 1."""
-    try:
-        eps = Fraction(eps)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ParameterError(f"eps {eps!r} is not a number") from None
+    """``eps`` as a Fraction (:func:`read_fraction`); refuses it with
+    ParameterError unless it is a number strictly between 0 and 1."""
+    eps = read_fraction(eps, "eps")
     if not 0 < eps < 1:
         raise ParameterError(f"eps must lie strictly between 0 and 1: {eps}")
     return eps

@@ -3,13 +3,15 @@ and extractors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .bits import parity
-from .errors import ConfigurationError, ParameterError, ShapeError
+from .errors import (
+    ConfigurationError, ParameterError, ShapeError, read_fraction, refuse_unknown_keys,
+)
 
 # --- pairwise-independent hashing --------------------------------------------
 
@@ -215,8 +217,9 @@ def extractor_from_json(data: dict) -> Extractor:
     generator lists.  An extractor is rebuilt from its ``n`` (perfect) or
     its generators with their bias measured again (Cayley), and a stated
     ``d``, ``k``, ``eps`` or ``bias`` that differs from the rebuilt one's is
-    refused (``ConfigurationError``)."""
+    refused (``ConfigurationError``); so is a key that is no field (``ParameterError``)."""
     kind, n = data["kind"], data["n"]
+    refuse_unknown_keys(data, {f.name for f in fields(Extractor)}, f"a {kind} extractor")
     if kind == "perfect":
         ext = perfect_extractor(n)
     elif kind == "cayley":
@@ -228,7 +231,7 @@ def extractor_from_json(data: dict) -> Extractor:
     else:
         raise ParameterError(f"unknown extractor kind {kind!r}")
     for key in ("d", "k", "eps", "bias"):
-        if key in data and Fraction(data[key]) != getattr(ext, key):
+        if key in data and read_fraction(data[key], key) != getattr(ext, key):
             raise ConfigurationError(
                 f"{kind} extractor {key} {data[key]} is not its rebuilt {getattr(ext, key)}"
             )

@@ -380,7 +380,7 @@ def test_states_must_be_ints():
             LayeredProgram(*args)
 
 
-def test_transition_tables_are_checked_once_and_refused_every_time():
+def test_transition_tables_are_checked_and_refused_every_time():
     good = tuple(((q + 1) % 4, q) for q in range(4))
     full = frozenset(range(4))
     assert LayeredProgram(3, 4, 0, (good,) * 3, (full,) * 3).n == 3

@@ -608,6 +608,26 @@ def test_window_size_that_is_not_an_int_is_a_bad_config(tmp_path, t):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+def test_a_fraction_that_is_a_float_or_a_bool_is_a_bad_config(tmp_path, value):
+    # verify-fool with "eps_budget": 0.1 passed and wrote the budget
+    # 3602879701896397/36028797018963968; paca read its eps the same way
+    family = {"n": 4, "t": 2, "budget_bits": 2}
+    nisan = {"kind": "nisan", "t": 4, "w": 4, "eps_target": "1/4"}
+    configs = [
+        ("verify-fool", {"generator": {"kind": "exhaustive", "t": 4}, "family": family,
+                         "eps_budget": value}),
+        ("verify-fool", {"generator": {**nisan, "eps_target": value}, "family": family}),
+        ("verify-hit", {"hsg": {"kind": "prg_as_hsg", "carrier": nisan, "threshold": value},
+                        "family": family}),
+        ("paca", {"paca": "c1", "mode": "derand1", "input": [0], "eps": value}),
+        ("paca", {"paca": "c1", "mode": "derand2", "input": [0], "eps": value}),
+    ]
+    for command, config in configs:
+        code, out = run(tmp_path, command, config)
+        assert code == EXIT_CONFIG and not out.exists(), (command, config)
+
+
 def test_verify_fool_refuses_a_bool_or_negative_budget(tmp_path, capsys):
     config = {"generator": {"kind": "exhaustive", "t": 4},
               "family": {"n": 4, "t": 2, "budget_bits": 2}}

@@ -620,6 +620,42 @@ def golden_nodes():
     return [json.loads(line) for line in GOLDEN.read_text().splitlines()]
 
 
+@pytest.mark.parametrize("kind", sorted({"exhaustive", *NODES}))
+def test_a_key_that_is_no_field_of_the_kind_is_refused(kind):
+    # a misspelt key was dropped: {"kind": "pairwise_rect", "blocks": 4,
+    # "block_bits": 2, "eps_crr": "0"} loaded with the default budget 1
+    node = next(node for node in golden_nodes() if node["kind"] == kind)
+    assert generator_from_json(node).to_json() == node
+    for key in ("eps_crr", "bogus"):
+        with pytest.raises(ParameterError, match=repr(key)):
+            generator_from_json({**node, key: 1})
+    if kind == "interleave":  # in a child node too
+        with pytest.raises(ParameterError, match="'bogus'"):
+            generator_from_json({**node, "g2": {**node["g2"], "bogus": 1}})
+
+
+@pytest.mark.parametrize("value", [0.1, 0.25, True], ids=["float", "exact-float", "bool"])
+def test_a_fraction_that_is_a_float_or_a_bool_is_refused(value):
+    # 0.1 was read as its binary value, 3602879701896397/36028797018963968,
+    # and true as 1; an int or a fraction string is read as it is spelt
+    nisan = {"kind": "nisan", "t": 4, "w": 4, "eps_target": "1/4"}
+    stretch = next(node for node in golden_nodes() if node["kind"] == "inw")
+    for name, node in (
+        ("eps_target", nisan),
+        ("measured_eps", nisan),
+        ("eps_cr", {"kind": "pairwise_rect", "blocks": 4, "block_bits": 2}),
+        ("eps", stretch["extractor"]),
+    ):
+        assert generator_from_json({**stretch, "extractor": node} if name == "eps" else node)
+        bad = {**node, name: value}
+        with pytest.raises(ParameterError, match=name):
+            generator_from_json({**stretch, "extractor": bad} if name == "eps" else bad)
+    assert hsg_from_json({"kind": "prg_as_hsg", "carrier": nisan, "threshold": "1/4"})
+    with pytest.raises(ParameterError, match="threshold"):
+        hsg_from_json({"kind": "prg_as_hsg", "carrier": nisan, "threshold": value})
+    assert generator_from_json({**nisan, "eps_target": 1}).eps_budget == 1
+
+
 def shape_of(g):
     """(d, blocks, block_bits, eps_budget, window) of a node by the rules its
     shape properties applied on every read, from its fields and its

@@ -2,6 +2,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,16 +285,43 @@ def test_fooling_report_refuses_a_bool_or_negative_budget():
 
 
 def test_family_refuses_a_mask_outside_it():
-    # 8 used to give program 0 and -1 program 7
+    # 8 used to give program 0, -1 program 7 and True program 1
     fam = swbp_family(4, 2, 3)
     assert fam.program(7) == program_reference(fam, 7)
-    for mask in (8, -1, 1 << 20):
+    for mask in (8, -1, 1 << 20, True, False, 1.0, "1"):
         with pytest.raises(IndexError):
             fam.program(mask)
     canon, _ = canonical_debruijn_swbp(4, 2)
     for position in ((2.0, 1), (2, 1.0), (True, 1), (5, 0), (2, 4)):
         with pytest.raises(ParameterError):
             MaskFamily(canon, ((1, 0), position))
+    # members skip the program checks, so the base must have passed them
+    with pytest.raises(ParameterError):
+        MaskFamily(SimpleNamespace(**vars(canon)))
+
+
+def test_members_are_built_from_their_checked_base_without_checking_again(monkeypatch):
+    # each member equals, and hashes as, the checked construction from its
+    # base's tables and the copy-and-discard sets, and shares those tables;
+    # LayeredProgram's checks, which the base passed, do not run for it
+    families = [
+        swbp_family(5, 2, 10),
+        concat_families([swbp_family(3, 2, 3), swbp_family(4, 2, 4)]),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a family member ran LayeredProgram's checks")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LayeredProgram, "__post_init__", refuse)
+        members = [[fam.program(mask) for mask in range(len(fam))] for fam in families]
+    for fam, programs in zip(families, members):
+        b = fam.base
+        for mask, p in enumerate(programs):
+            acc = program_reference(fam, mask).acc
+            checked = LayeredProgram(b.n, b.w, b.q0, b.trans, acc)
+            assert p == checked and hash(p) == hash(checked), mask
+            assert p.trans is b.trans
 
 
 def test_members_match_the_copy_and_discard_reference():
@@ -419,8 +447,8 @@ def test_interleave_report_builds_no_seed_sized_array():
 
 
 def test_members_built_on_many_threads_match_the_reference():
-    # the family's set memo and bp's memo of checked parts are shared; a lost
-    # or torn update would hand a thread a wrong or unchecked set
+    # the family's set memo is shared; a lost or torn update would hand a
+    # thread a wrong set
     import sys
     import threading
 

@@ -306,6 +306,17 @@ def test_extractor_from_json_refuses_stated_perfect_fields():
             extractor_from_json({**data, name: value})
 
 
+@pytest.mark.parametrize("ext", [perfect_extractor(3), cayley_extractor(6, 2, Fraction(1, 2))],
+                         ids=["perfect", "cayley"])
+def test_extractor_from_json_refuses_a_key_that_is_no_field(ext):
+    # a stray key was dropped, as a misspelt "eps" would be
+    data = ext.to_json()
+    assert extractor_from_json(data) == ext
+    for key in ("bogus", "epsilon"):
+        with pytest.raises(ParameterError, match=repr(key)):
+            extractor_from_json({**data, key: "0"})
+
+
 def test_min_entropy_flat():
     assert min_entropy(flat_source(range(8))) == 3.0
 
